@@ -34,7 +34,7 @@ import bff.cli as cli
 import bff.oracle as oracle
 from bff.bayes_factors import Family, TestStatistic
 
-BLOCK_S = 0.25      # seconds of ops between two calibration bursts
+BLOCK_S = 0.05      # seconds of ops between two calibration bursts
 WALL_LIMIT_S = 100  # no timed window runs longer, whatever the machine's speed
 
 # ops under the shims per traced run; the counts then repeat exactly for a seed
