@@ -2,20 +2,22 @@
 
 Subcommands z, t, chisq, and f evaluate a single study's BFF; combine reads a
 JSON study file and multiplies the per-study Bayes factors on a shared grid.
-Exit codes: 0 success, 1 compute failure (quadrature or series breakdown),
-2 usage or study-file error.
+Exit codes: 0 success, 1 compute failure (quadrature or series breakdown,
+or a curve that is not finite), 2 usage or study-file error, including any
+non-finite number in the input.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .bayes_factors import Family, TestStatistic
 from .curves import BFFCurve, EffectGrid, Study, combine, evaluate_bff
 from .effect_sizes import Design, EffectSize, StudyDesign, tau2_for
-from .exports import CurveExport, build_export, render
+from .exports import CurveExport, build_export, emit, render
 from .numerics import IntegrationError, SeriesError
 from .oracle import log_bf_quadrature
 
@@ -176,7 +178,8 @@ def parse_study_file(text: str) -> tuple[list[Study], EffectGrid | None]:
             raise StudyFileError(
                 f"{where}.design must be one of {sorted(_DESIGN_TAGS)}, got {design_tag!r}"
             )
-        if "value" not in record or not isinstance(record["value"], (int, float)):
+        value = record.get("value")
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise StudyFileError(f"{where}.value must be a number")
         label = record.get("label", "")
         if not isinstance(label, str):
@@ -193,7 +196,7 @@ def parse_study_file(text: str) -> tuple[list[Study], EffectGrid | None]:
         try:
             stat = TestStatistic(
                 _FAMILY_TAGS[family_tag],
-                float(record["value"]),
+                float(value),
                 df1=int_field("df1"),
                 df2=int_field("df2"),
             )
@@ -245,8 +248,12 @@ def _print_summary(export: CurveExport) -> None:
 
 
 def _oracle_report(studies: list[Study], curve: BFFCurve) -> None:
-    stride = max(1, (len(curve.points) - 1) // 20)
-    sampled = [p for p in curve.points[::stride] if p[0] > 0.0]
+    stride = max(1, (len(curve.omegas) - 1) // 20)
+    sampled = [
+        p
+        for p in zip(curve.omegas[::stride].tolist(), curve.log_bfs[::stride].tolist())
+        if p[0] > 0.0
+    ]
     worst = 0.0
     for omega, log_bf_closed in sampled:
         log_bf_quad = 0.0
@@ -259,20 +266,18 @@ def _oracle_report(studies: list[Study], curve: BFFCurve) -> None:
 
 def _deliver(export: CurveExport, args) -> None:
     _print_summary(export)
-    text = render(export, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        emit(export, args.format, args.out)
         print(f"wrote {args.format} to {args.out}")
     else:
         print()
-        sys.stdout.write(text)
+        sys.stdout.write(render(export, args.format))
 
 
 def _thresholds_from_args(args) -> tuple[float, ...]:
     for t in args.threshold:
-        if t <= 0:
-            raise ValueError(f"--threshold must be a positive Bayes factor, got {t}")
+        if not (math.isfinite(t) and t > 0):
+            raise ValueError(f"--threshold must be a finite positive Bayes factor, got {t}")
     return tuple(args.threshold)
 
 

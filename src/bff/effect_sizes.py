@@ -4,11 +4,14 @@ Each test design pairs a statistic family with a rule converting a
 standardized effect size omega (or the root mean square effect size for
 vector-valued effects) into the prior scale tau2. The rules make the prior
 mode on the non-centrality parameter coincide with the non-centrality a true
-effect of size omega would induce at the study's sample size.
+effect of size omega would induce at the study's sample size. Every rule
+has the form tau2 = c * omega^2 with a per-design constant c (`tau2_scale`),
+which is the one place the table lives.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -93,11 +96,26 @@ class Zone(Enum):
     LARGE = "large"
 
 
+# lower bounds of SMALL, MEDIUM and LARGE; each band is closed on the left
+ZONE_BOUNDS = (0.1, 0.35, 0.65)
+ZONES = tuple(Zone)
+
+
 def rmses(omegas: Sequence[float]) -> EffectSize:
     """Root mean square effect size of a nonempty vector of omegas."""
     if len(omegas) == 0:
         raise ValueError("rmses requires a nonempty list of effect sizes")
     return EffectSize(math.sqrt(sum(w * w for w in omegas) / len(omegas)))
+
+
+def tau2_scale(design: StudyDesign) -> float:
+    """The constant c with tau2 = c * omega^2 for this design."""
+    d = design.design
+    if d in _TWO_SAMPLE:
+        return design.n1 * design.n2 / (2.0 * (design.n1 + design.n2))
+    if d in (Design.MULTINOMIAL_CHISQ, Design.LIKELIHOOD_RATIO_CHISQ):
+        return float(design.n)
+    return design.n / 2.0  # one-sample z or t, linear-model F
 
 
 def tau2_for(design: StudyDesign, effect: EffectSize) -> float:
@@ -107,17 +125,7 @@ def tau2_for(design: StudyDesign, effect: EffectSize) -> float:
     Bayes factor equals 1; callers handle that sentinel and never construct
     a prior with tau2 = 0.
     """
-    w2 = effect.omega_tilde * effect.omega_tilde
-    if w2 == 0.0:
-        return 0.0
-    d = design.design
-    if d in (Design.ONE_SAMPLE_Z, Design.ONE_SAMPLE_T):
-        return design.n * w2 / 2.0
-    if d in _TWO_SAMPLE:
-        return design.n1 * design.n2 * w2 / (2.0 * (design.n1 + design.n2))
-    if d in (Design.MULTINOMIAL_CHISQ, Design.LIKELIHOOD_RATIO_CHISQ):
-        return design.n * w2
-    return design.n * w2 / 2.0
+    return tau2_scale(design) * (effect.omega_tilde * effect.omega_tilde)
 
 
 def statistic_family_for(design: StudyDesign) -> Family:
@@ -127,11 +135,4 @@ def statistic_family_for(design: StudyDesign) -> Family:
 
 def classify_zone(effect: EffectSize) -> Zone:
     """Band membership for omega-tilde; intervals are closed on the left."""
-    w = effect.omega_tilde
-    if w < 0.1:
-        return Zone.VERY_SMALL
-    if w < 0.35:
-        return Zone.SMALL
-    if w < 0.65:
-        return Zone.MEDIUM
-    return Zone.LARGE
+    return ZONES[bisect.bisect_right(ZONE_BOUNDS, effect.omega_tilde)]

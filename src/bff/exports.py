@@ -3,7 +3,8 @@
 All three formats print floats with 17 significant digits, enough for exact
 float64 round trips, and contain nothing nondeterministic: rendering the same
 curve twice yields byte-identical documents, and a parsed CSV re-renders to
-the exact bytes it came from.
+the exact bytes it came from. A linear-space bf10 above the largest double
+is inf: CSV writes `inf`, JSON writes `null`; log_bf10 is always finite.
 """
 
 from __future__ import annotations
@@ -12,12 +13,16 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+import numpy as np
+
+from .bayes_factors import linear_bf
 from .curves import BFFCurve, find_crossings
-from .effect_sizes import EffectSize, classify_zone
+from .effect_sizes import ZONE_BOUNDS, ZONES
 
 LN10 = math.log(10.0)
+_ZONE_NAMES = tuple(z.value for z in ZONES)
 
 # zone shading for the SVG plots, from very small through large
 ZONE_BANDS = (
@@ -34,7 +39,12 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-@dataclass(frozen=True)
+def _json_num(x: float) -> str:
+    """A JSON number, or null for a saturated (infinite) bf10."""
+    return _fmt(x) if math.isfinite(x) else "null"
+
+
+@dataclass(frozen=True, slots=True)
 class ExportRow:
     omega: float
     bf10: float
@@ -81,16 +91,18 @@ def build_export(
     thresholds are Bayes factors (linear space) whose crossings get reported
     alongside the BF=1 crossings the curve already carries.
     """
+    log_bfs = curve.log_bfs.tolist()
+    bands = np.searchsorted(ZONE_BOUNDS, curve.omegas, side="right").tolist()
+    zones = [_ZONE_NAMES[i] for i in bands]
     rows = tuple(
-        ExportRow(w, math.exp(lb), lb, classify_zone(EffectSize(w)).value)
-        for w, lb in curve.points
+        map(ExportRow, curve.omegas.tolist(), map(linear_bf, log_bfs), log_bfs, zones)
     )
     threshold_blocks = tuple(
         ThresholdCrossings(t, tuple(find_crossings(curve, math.log(t))))
         for t in thresholds
     )
     summary = ExportSummary(
-        max_bf10=math.exp(curve.max_log_bf),
+        max_bf10=linear_bf(curve.max_log_bf),
         max_log_bf10=curve.max_log_bf,
         argmax_omega=curve.argmax_omega,
         crossings_bf1=curve.crossings,
@@ -182,13 +194,13 @@ def render_json(export: CurveExport) -> str:
     for i, row in enumerate(export.rows):
         comma = "," if i + 1 < len(export.rows) else ""
         out.append(
-            f'    {{"omega": {_fmt(row.omega)}, "bf10": {_fmt(row.bf10)}, '
+            f'    {{"omega": {_fmt(row.omega)}, "bf10": {_json_num(row.bf10)}, '
             f'"log_bf10": {_fmt(row.log_bf10)}, "zone": {json.dumps(row.zone)}}}{comma}'
         )
     out.append("  ],")
     s = export.summary
     out.append('  "summary": {')
-    out.append(f'    "max_bf10": {_fmt(s.max_bf10)},')
+    out.append(f'    "max_bf10": {_json_num(s.max_bf10)},')
     out.append(f'    "max_log_bf10": {_fmt(s.max_log_bf10)},')
     out.append(f'    "argmax_omega": {_fmt(s.argmax_omega)},')
     crossings = ", ".join(_fmt(w) for w in s.crossings_bf1)

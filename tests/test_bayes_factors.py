@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +10,7 @@ from bff.bayes_factors import (
     Family,
     OddsValue,
     TestStatistic,
+    linear_bf,
     log_bf,
     log_bf_chisq,
     log_bf_f,
@@ -46,6 +48,11 @@ class TestTestStatistic:
             TestStatistic(Family.F, 2.2, df1=3)
         with pytest.raises(ValueError):
             TestStatistic(Family.F, -1.0, df1=3, df2=25)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True])
+    def test_value_must_be_a_finite_number(self, value):
+        with pytest.raises(ValueError, match="finite number"):
+            TestStatistic(Family.Z, value)
 
 
 class TestClosedForms:
@@ -93,6 +100,26 @@ class TestClosedForms:
             fn(1.0, 0.0)
         with pytest.raises(ValueError):
             fn(1.0, -1.0)
+
+    def test_arrays_broadcast_and_scalars_stay_floats(self):
+        tau2 = np.array([0.1, 1.0, 10.0])
+        cases = [
+            (log_bf_z, (2.0,)),
+            (log_bf_t, (2.5, 20)),
+            (log_bf_chisq, (12.65, 6)),
+            (log_bf_f, (3.2, 3, 40)),
+        ]
+        for fn, args in cases:
+            got = fn(*args, tau2)
+            assert isinstance(got, np.ndarray) and got.shape == (3,)
+            for g, t in zip(got, tau2.tolist()):
+                scalar = fn(*args, t)
+                assert type(scalar) is float
+                assert math.isclose(g, scalar, rel_tol=1e-14)
+        stats = np.array([[1.0], [2.0]])
+        assert log_bf_z(stats, tau2).shape == (2, 3)
+        with pytest.raises(ValueError):
+            log_bf_z(2.0, np.array([1.0, 0.0]))
 
     def test_overflow_guard(self):
         assert math.isfinite(log_bf_z(40.0, 1e4))
@@ -153,6 +180,12 @@ class TestDispatchAndOdds:
     def test_odds_value(self):
         assert OddsValue(0.0).bf10 == 1.0
         assert math.isclose(OddsValue(math.log(3.0)).bf10, 3.0, rel_tol=1e-14)
+
+    def test_linear_space_saturates(self):
+        assert linear_bf(800.0) == math.inf
+        assert linear_bf(709.0) == math.exp(709.0)
+        assert OddsValue(800.0).bf10 == math.inf
+        assert posterior_odds(OddsValue(800.0), 2.0) == math.inf
 
     def test_posterior_odds(self):
         got = posterior_odds(OddsValue(math.log(3.0)), 2.0)

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface."""
 
 import json
+import math
 import re
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import sys
 import pytest
 
 import bff.cli as cli
+from bff.exports import parse_csv, render_csv
 from bff.numerics import IntegrationError
 
 F_META = {
@@ -194,6 +196,83 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "z", "--stat", "2", "--n", "100")
         assert code == 1
         assert "compute error: synthetic failure" in err
+
+
+class TestNonFiniteInput:
+    """A NaN or infinity in the input is a usage error, never a silent result."""
+
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["--stat", "nan"], "finite number"),
+            (["--stat", "inf"], "finite number"),
+            (["--stat", "2", "--omega-max", "inf"], "finite"),
+            (["--stat", "2", "--omega-max", "nan"], "finite"),
+            (["--stat", "2", "--threshold", "nan"], "threshold"),
+            (["--stat", "2", "--threshold", "inf"], "threshold"),
+        ],
+        ids=["stat-nan", "stat-inf", "omega-max-inf", "omega-max-nan",
+             "threshold-nan", "threshold-inf"],
+    )
+    def test_flag_rejected(self, capsys, argv, needle):
+        code, out, err = run_cli(capsys, "z", *argv, "--n", "100")
+        assert code == 2
+        assert needle in err
+        assert out == ""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, True], ids=["nan", "inf", "true"])
+    def test_study_file_value_rejected(self, capsys, tmp_path, value):
+        doc = json.loads(json.dumps(F_META))
+        doc["studies"][1]["value"] = value
+        path = write_meta(tmp_path, doc)
+        code, out, err = run_cli(capsys, "combine", "--studies", path)
+        assert code == 2
+        assert "studies[1]" in err
+        assert out == ""
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_curve_is_a_compute_error(self, capsys):
+        # tau2 = n omega^2 / 2 overflows above omega ~ 1e154, and the closed
+        # form is NaN there
+        code, out, err = run_cli(
+            capsys, "z", "--stat", "2", "--n", "100", "--omega-max", "1e200", "--steps", "11"
+        )
+        assert code == 1
+        assert "not finite" in err
+        assert out == ""
+
+
+class TestLinearSpaceSaturation:
+    """ln BF ~ 796 is finite; BF10 itself exceeds the largest double."""
+
+    ARGV = ["z", "--stat", "40", "--n", "1000"]
+
+    def test_csv_writes_inf_and_round_trips(self, capsys):
+        code, out, err = run_cli(capsys, *self.ARGV)
+        assert code == 0, err
+        assert out.splitlines()[0] == "max BF inf at omega 1.000"
+        text = out.split("\n\n", 1)[1]
+        export = parse_csv(text)
+        assert export.summary.max_bf10 == math.inf
+        assert math.isfinite(export.summary.max_log_bf10)
+        assert export.summary.max_log_bf10 > 709.79
+        assert any(r.bf10 == math.inf for r in export.rows)
+        assert all(math.isfinite(r.log_bf10) for r in export.rows)
+        assert render_csv(export) == text
+
+    def test_json_writes_null_and_stays_valid(self, capsys, tmp_path):
+        out_path = tmp_path / "saturated.json"
+        code, out, err = run_cli(capsys, *self.ARGV, "--format", "json",
+                                 "--out", str(out_path))
+        assert code == 0, err
+        doc = json.loads(out_path.read_text(encoding="utf-8"))
+        assert doc["summary"]["max_bf10"] is None
+        assert doc["summary"]["max_log_bf10"] > 709.79
+        saturated = [p for p in doc["points"] if p["bf10"] is None]
+        assert saturated
+        assert all(p["log_bf10"] > 709.78 for p in saturated)
+        assert doc["points"][0]["bf10"] == 1.0
 
 
 class TestStudyFiles:

@@ -4,9 +4,9 @@ import math
 
 import pytest
 
-from bff.bayes_factors import Family, TestStatistic
+from bff.bayes_factors import Family, TestStatistic, log_bf
 from bff.curves import EffectGrid, Study, combine, evaluate_bff, find_crossings
-from bff.effect_sizes import Design, StudyDesign
+from bff.effect_sizes import Design, EffectSize, StudyDesign, tau2_for
 
 Z_STUDY = Study(
     TestStatistic(Family.Z, 2.0), StudyDesign(Design.ONE_SAMPLE_Z, n=100)
@@ -38,6 +38,13 @@ class TestEffectGrid:
         assert len(ws) == 11
         assert ws[0] == 0.0
         assert ws[-1] == 0.5
+
+    @pytest.mark.parametrize(
+        "bounds", [(0.0, math.inf), (0.0, math.nan), (math.nan, 1.0), (-math.inf, 1.0)]
+    )
+    def test_bounds_must_be_finite(self, bounds):
+        with pytest.raises(ValueError, match="finite"):
+            EffectGrid(*bounds)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -172,3 +179,80 @@ class TestCombine:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             combine([])
+
+
+# one study per design, statistics chosen so every curve rises, peaks and
+# falls through ln BF = 0 on [0, 1]
+ALL_DESIGN_STUDIES = [
+    Z_STUDY,
+    Study(TestStatistic(Family.T, 2.5, df1=29), StudyDesign(Design.ONE_SAMPLE_T, n=30)),
+    Study(TestStatistic(Family.Z, -2.2), StudyDesign(Design.TWO_SAMPLE_Z, n1=40, n2=60)),
+    Study(
+        TestStatistic(Family.T, 3.1, df1=48), StudyDesign(Design.TWO_SAMPLE_T, n1=20, n2=30)
+    ),
+    CHISQ_STUDY,
+    Study(
+        TestStatistic(Family.CHISQ, 9.4, df1=3),
+        StudyDesign(Design.LIKELIHOOD_RATIO_CHISQ, n=250, k=3),
+    ),
+    F_ORIGINAL,
+]
+
+
+class TestArrayMatchesScalar:
+    @pytest.mark.parametrize(
+        "study", ALL_DESIGN_STUDIES, ids=lambda s: s.design.design.value
+    )
+    def test_grid_matches_per_point_closed_form(self, study):
+        curve = evaluate_bff(study, EffectGrid(0.0, 1.0, 201))
+        assert curve.points[0] == (0.0, 0.0)
+        for w, got in curve.points[1:]:
+            want = log_bf(study.statistic, tau2_for(study.design, EffectSize(w)))
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (w, got, want)
+            assert abs(study.log_bf_at(w) - got) <= 1e-13 * max(1.0, abs(got))
+
+    def test_combined_grid_is_the_per_point_sum(self):
+        grid = EffectGrid(0.0, 1.0, 201)
+        curve = combine(ALL_DESIGN_STUDIES, grid)
+        for w, got in curve.points[1:]:
+            want = sum(
+                log_bf(s.statistic, tau2_for(s.design, EffectSize(w)))
+                for s in ALL_DESIGN_STUDIES
+            )
+            assert abs(got - want) <= 1e-13 * len(ALL_DESIGN_STUDIES) * max(1.0, abs(want))
+
+    def test_negative_or_nan_omega_rejected(self):
+        for omega in (-0.1, math.nan):
+            with pytest.raises(ValueError):
+                Z_STUDY.log_bf_at(omega)
+
+
+GRID_INVARIANCE_CASES = [
+    ("z", lambda grid: evaluate_bff(Z_STUDY, grid)),
+    ("chisq", lambda grid: evaluate_bff(CHISQ_STUDY, grid)),
+    ("f original", lambda grid: evaluate_bff(F_ORIGINAL, grid)),
+    ("f combined", lambda grid: combine([F_ORIGINAL, F_REPLICATION], grid)),
+]
+
+
+class TestGridInvariance:
+    """Refined results depend on the grid only through the 1e-6 brackets."""
+
+    @pytest.mark.parametrize("build", [c[1] for c in GRID_INVARIANCE_CASES],
+                             ids=[c[0] for c in GRID_INVARIANCE_CASES])
+    def test_max_argmax_and_crossings(self, build):
+        summaries = []
+        for steps in (101, 500, 2001):
+            curve = build(EffectGrid(0.0, 1.0, steps))
+            crossings = [list(curve.crossings)] + [
+                find_crossings(curve, math.log(bf)) for bf in (0.2, 2.0)
+            ]
+            summaries.append((curve.max_log_bf, curve.argmax_omega, crossings))
+        base_max, base_arg, base_crossings = summaries[0]
+        assert any(base_crossings)
+        for max_log_bf, argmax, crossings in summaries[1:]:
+            assert abs(max_log_bf - base_max) <= 2e-6
+            assert abs(argmax - base_arg) <= 2e-6
+            for got, want in zip(crossings, base_crossings):
+                assert len(got) == len(want)
+                assert all(abs(a - b) <= 2e-6 for a, b in zip(got, want))
