@@ -1,8 +1,11 @@
 """Bayes factor functions for z, t, chi-squared, and F statistics.
 
-Closed-form Bayes factors indexed by standardized effect size, combination
-across replicated studies, and an independent numerical oracle that verifies
-every closed form by direct integration.
+The package namespace holds the serving path: closed-form Bayes factors
+indexed by standardized effect size, curves and their combination across
+replicated studies, and exports; it needs numpy only. The verification path
+lives in the modules that own it and loads scipy: `bff.oracle` recomputes
+every closed form by direct integration, on top of `bff.numerics`
+(quadrature, series) and `bff.priors` (the explicit prior densities).
 """
 
 from .bayes_factors import (
@@ -36,72 +39,5 @@ from .effect_sizes import (
     tau2_for,
 )
 from .exports import CurveExport, build_export, emit, parse_csv, render
-from .numerics import (
-    DEFAULT_QUADRATURE,
-    DEFAULT_SERIES,
-    IntegrationError,
-    QuadratureSpec,
-    SeriesError,
-    SeriesSpec,
-    integrate,
-    log_beta,
-    log_gamma,
-    sum_series,
-)
-from .priors import (
-    GammaNCPPrior,
-    NormalMomentPrior,
-    gamma_log_density,
-    gamma_mode,
-    nm_log_density,
-    nm_modes,
-)
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BFFCurve",
-    "CurveExport",
-    "DEFAULT_QUADRATURE",
-    "DEFAULT_SERIES",
-    "Design",
-    "EffectGrid",
-    "EffectSize",
-    "Family",
-    "GammaNCPPrior",
-    "IntegrationError",
-    "NormalMomentPrior",
-    "OddsValue",
-    "QuadratureSpec",
-    "SeriesError",
-    "SeriesSpec",
-    "Study",
-    "StudyDesign",
-    "TestStatistic",
-    "Zone",
-    "build_export",
-    "classify_zone",
-    "combine",
-    "emit",
-    "evaluate_bff",
-    "find_crossings",
-    "gamma_log_density",
-    "gamma_mode",
-    "integrate",
-    "log_beta",
-    "log_bf",
-    "log_bf_chisq",
-    "log_bf_f",
-    "log_bf_t",
-    "log_bf_z",
-    "log_gamma",
-    "nm_log_density",
-    "nm_modes",
-    "parse_csv",
-    "posterior_odds",
-    "refine_max",
-    "render",
-    "rmses",
-    "statistic_family_for",
-    "tau2_for",
-]

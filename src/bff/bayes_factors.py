@@ -4,8 +4,9 @@ Each function returns ln BF10 for the alternative that places a normal moment
 prior (z, t) or a gamma prior (chi-squared, F) on the non-centrality
 parameter, with prior scale tau2. The printed forms of these Bayes factors
 multiply large powers by exponentials; everything here is rearranged into
-sums of log1p terms so the functions stay finite for statistics and scales
-far beyond the plotted ranges.
+sums of log1p and logaddexp terms, and the t and F forms take the log of the
+statistic before any power of it, so the functions stay finite for
+statistics and scales far beyond the plotted ranges.
 
 Every form takes numpy arrays and broadcasts them, so one implementation
 serves a single point and a whole grid: a call with scalar arguments returns
@@ -110,19 +111,28 @@ def log_bf_z(z, tau2):
     return _result(-1.5 * np.log1p(tau2) + np.log1p(w) + 0.5 * w)
 
 
+def _tf_terms(x, lp, tau2, c, half_df):
+    """The data terms that the t and F forms share, from logs only.
+
+    x is ln a and lp is ln(1 + tau2), where a is t^2/nu (t) or k f/m (F).
+    With b = a/(1 + tau2), ln(1 + a) - ln(1 + b) = ln(1 + g) for
+    g = tau2 b/(1 + b), so the terms are half_df ln(1 + g) + ln(1 + c g).
+    g is formed as tau2 / (1 + e^(lp - x)) in log space: it never exceeds
+    tau2, whatever the size of the statistic, and no difference cancels.
+    """
+    g = tau2 * np.exp(-np.logaddexp(0.0, lp - x))
+    return half_df * np.log1p(g) + np.log1p(c * g)
+
+
 def log_bf_t(t, nu, tau2):
     """ln BF10 for a t statistic on nu df under a J(0, tau2) prior."""
     if np.any(nu < 1):
         raise ValueError(f"nu must be >= 1, got {np.min(nu)}")
     _check_tau2(tau2)
-    t2 = t * t
-    s = 1.0 + t2 / (nu * (1.0 + tau2))
-    q = tau2 * (nu + 1.0) / (nu * (1.0 + tau2))
-    return _result(
-        -1.5 * np.log1p(tau2)
-        + 0.5 * (nu + 1.0) * (np.log1p(t2 / nu) - np.log1p(t2 / (nu * (1.0 + tau2))))
-        + np.log1p(q * t2 / s)
-    )
+    lp = np.log1p(tau2)
+    with np.errstate(divide="ignore"):  # ln 0 = -inf at t = 0 is exact
+        x = 2.0 * np.log(np.abs(t)) - np.log(nu)
+    return _result(-1.5 * lp + _tf_terms(x, lp, tau2, nu + 1.0, 0.5 * (nu + 1.0)))
 
 
 def log_bf_chisq(h, k, tau2):
@@ -143,12 +153,11 @@ def log_bf_f(f, k, m, tau2):
     if np.any(k < 1) or np.any(m < 1):
         raise ValueError(f"degrees of freedom must be >= 1, got ({np.min(k)}, {np.min(m)})")
     _check_tau2(tau2)
-    v = m * (tau2 + 1.0)
-    s = 1.0 + k * f / v
+    lp = np.log1p(tau2)
+    with np.errstate(divide="ignore"):  # ln 0 = -inf at f = 0 is exact
+        x = np.log(f) + np.log(k / m)
     return _result(
-        -(0.5 * k + 1.0) * np.log1p(tau2)
-        + 0.5 * (k + m) * (np.log1p(k * f / m) - np.log1p(k * f / v))
-        + np.log1p((k + m) * tau2 * f / (v * s))
+        -(0.5 * k + 1.0) * lp + _tf_terms(x, lp, tau2, (k + m) / k, 0.5 * (k + m))
     )
 
 

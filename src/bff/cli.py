@@ -14,12 +14,10 @@ import json
 import math
 import sys
 
-from .bayes_factors import Family, TestStatistic
+from .bayes_factors import Family, TestStatistic, linear_bf
 from .curves import BFFCurve, EffectGrid, Study, combine, evaluate_bff
 from .effect_sizes import Design, EffectSize, StudyDesign, tau2_for
 from .exports import CurveExport, build_export, emit, render
-from .numerics import IntegrationError, SeriesError
-from .oracle import log_bf_quadrature
 
 
 class StudyFileError(Exception):
@@ -227,16 +225,16 @@ def parse_study_file(text: str) -> tuple[list[Study], EffectGrid | None]:
     return studies, grid
 
 
-def _odds_text(bf: float) -> str:
-    if bf >= 1.0:
-        return f"{bf:.2f}:1 for H1"
-    return f"1:{1.0 / bf:.2f} against H1"
+def _odds_text(log_bf10: float) -> str:
+    if log_bf10 >= 0.0:
+        return f"{linear_bf(log_bf10):.2f}:1 for H1"
+    return f"1:{linear_bf(-log_bf10):.2f} against H1"
 
 
 def _print_summary(export: CurveExport) -> None:
     s = export.summary
     print(f"max BF {s.max_bf10:.2f} at omega {s.argmax_omega:.3f}")
-    print(f"odds at maximum: {_odds_text(s.max_bf10)}")
+    print(f"odds at maximum: {_odds_text(s.max_log_bf10)}")
     for w in s.crossings_bf1:
         print(f"BF=1 crossing at omega {w:.3f}")
     for block in s.thresholds:
@@ -248,6 +246,8 @@ def _print_summary(export: CurveExport) -> None:
 
 
 def _oracle_report(studies: list[Study], curve: BFFCurve) -> None:
+    from .oracle import log_bf_quadrature
+
     stride = max(1, (len(curve.omegas) - 1) // 20)
     sampled = [
         p
@@ -327,13 +327,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "combine":
             return _run_combine(args)
         return _run_single(args)
-    except StudyFileError as e:
+    except (StudyFileError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (IntegrationError, SeriesError, ArithmeticError) as e:
+    except ArithmeticError as e:
         print(f"compute error: {e}", file=sys.stderr)
         return 1
 

@@ -16,11 +16,11 @@ from typing import Callable
 from scipy.integrate import quad
 
 
-class IntegrationError(Exception):
+class IntegrationError(ArithmeticError):
     """Quadrature failed to converge or the integrand misbehaved."""
 
 
-class SeriesError(Exception):
+class SeriesError(ArithmeticError):
     """Series truncation policy exhausted max_terms without converging."""
 
 

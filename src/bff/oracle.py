@@ -28,7 +28,13 @@ from .numerics import (
     log_gamma,
     sum_series,
 )
-from .priors import LOG_2PI, GammaNCPPrior, NormalMomentPrior, nm_log_density
+from .priors import (
+    LOG_2PI,
+    GammaNCPPrior,
+    NormalMomentPrior,
+    gamma_log_density,
+    nm_log_density,
+)
 
 _COARSE_POINTS = 101
 
@@ -381,14 +387,7 @@ def _log_bf_quadrature_gamma_prior(
             return -math.inf
         q = NoncentralDensityQuery(stat.family, stat.value, lam, stat.df1, stat.df2)
         nc = log_density_noncentral(q, quad_spec, series_spec)
-        return (
-            nc
-            - log_null
-            + prior.shape * math.log(prior.rate)
-            - log_gamma(prior.shape)
-            + (prior.shape - 1.0) * math.log(lam)
-            - prior.rate * lam
-        )
+        return nc - log_null + gamma_log_density(prior, lam)
 
     # the prior factor alone is e^-20(k+2) down by this point, and the
     # noncentral density decays in lam at fixed data

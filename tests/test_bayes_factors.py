@@ -125,6 +125,26 @@ class TestClosedForms:
         assert math.isfinite(log_bf_z(40.0, 1e4))
         assert math.isfinite(log_bf_chisq(1e4, 2, 1e4))
 
+    def test_t_and_f_stay_finite_where_the_square_overflows(self):
+        # as the statistic grows ln BF10 tends to a finite limit:
+        # t: (nu/2 - 1) ln(1 + tau2) + ln(1 + (nu + 1) tau2)
+        # F: (m/2 - 1) ln(1 + tau2) + ln(1 + (k + m) tau2 / k)
+        got_t = log_bf_t(1e160, 3, 5.0)
+        assert math.isclose(got_t, 0.5 * math.log(6.0) + math.log(21.0), rel_tol=1e-14)
+        got_f = log_bf_f(1e308, 2, 10, 5.0)
+        assert math.isclose(got_f, 4.0 * math.log(6.0) + math.log(31.0), rel_tol=1e-14)
+
+    @given(
+        st.floats(1e-300, 1e300),
+        st.integers(1, 500),
+        st.integers(1, 500),
+        st.floats(1e-12, 1e12),
+    )
+    def test_t_and_f_finite_over_wide_ranges(self, stat, df1, df2, tau2):
+        assert math.isfinite(log_bf_t(stat, df1, tau2))
+        assert math.isfinite(log_bf_t(-stat, df1, tau2))
+        assert math.isfinite(log_bf_f(stat, df1, df2, tau2))
+
 
 class TestConsistencyIdentities:
     @pytest.mark.parametrize("s", [0.5, 1.0, 2.0, 4.0])

@@ -2,15 +2,18 @@
 
 import json
 import math
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import bff.cli as cli
+import bff.oracle
 from bff.exports import parse_csv, render_csv
-from bff.numerics import IntegrationError
+from bff.numerics import IntegrationError, SeriesError
 
 F_META = {
     "studies": [
@@ -197,6 +200,18 @@ class TestExitCodes:
         assert code == 1
         assert "compute error: synthetic failure" in err
 
+    def test_oracle_failure_maps_to_one(self, capsys, monkeypatch):
+        # the CLI looks the oracle up when --oracle runs, so the patch applies
+        def boom(stat, tau2):
+            raise SeriesError("synthetic series failure")
+
+        monkeypatch.setattr(bff.oracle, "log_bf_quadrature", boom)
+        code, out, err = run_cli(
+            capsys, "z", "--stat", "2", "--n", "100", "--steps", "11", "--oracle"
+        )
+        assert code == 1
+        assert "compute error: synthetic series failure" in err
+
 
 class TestNonFiniteInput:
     """A NaN or infinity in the input is a usage error, never a silent result."""
@@ -241,6 +256,27 @@ class TestNonFiniteInput:
         assert code == 1
         assert "not finite" in err
         assert out == ""
+
+
+class TestExtremeFiniteCurves:
+    """Curves that are finite in log space, at the edges of linear space."""
+
+    def test_underflowed_maximum_prints_saturated_odds(self, capsys):
+        # ln BF10 ~ -1055 everywhere on this grid, so BF10 underflows to 0
+        code, out, err = run_cli(
+            capsys, "z", "--stat", "0", "--n", "10000",
+            "--omega-min", "1e150", "--omega-max", "1e151", "--steps", "3",
+        )
+        assert code == 0, err
+        assert out.splitlines()[1] == "odds at maximum: 1:inf against H1"
+
+    def test_t_statistic_whose_square_overflows(self, capsys):
+        code, out, err = run_cli(capsys, "t", "--stat", "1e200", "--df", "10", "--n", "100")
+        assert code == 0, err
+        match = re.fullmatch(r"max BF (\S+) at omega 1\.000", out.splitlines()[0])
+        assert match, out
+        # the large-statistic limit at omega = 1, where tau2 = 50: 51^4 * 551
+        assert math.isclose(float(match.group(1)), 51**4 * 551, rel_tol=1e-12)
 
 
 class TestLinearSpaceSaturation:
@@ -398,3 +434,22 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("max BF ")
+
+    def test_serving_path_loads_no_verification_code(self, tmp_path):
+        # a fresh interpreter: this one has long since imported the oracle
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        script = "\n".join([
+            "import json, sys",
+            "import bff, bff.cli",
+            "names = ('scipy', 'bff.oracle', 'bff.numerics', 'bff.priors')",
+            "after_import = [m for m in names if m in sys.modules]",
+            f"bff.cli.main(['z', '--stat', '2', '--n', '100', '--out', {str(tmp_path / 'z.csv')!r}])",
+            "print(json.dumps([after_import, [m for m in names if m in sys.modules]]))",
+        ])
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [[], []]
