@@ -21,7 +21,7 @@ import os
 from bff.bayes_factors import Family, TestStatistic
 from bff.curves import EffectGrid, Study, combine, evaluate_bff
 from bff.effect_sizes import Design, StudyDesign
-from bff.exports import PerStudySeries, build_export, emit
+from bff.exports import build_export, emit
 
 SUPPORT_THRESHOLD = 2.0
 
@@ -53,11 +53,7 @@ def main(argv: list[str] | None = None) -> int:
         )
 
     curve = combine(studies, grid)
-    per_study = tuple(
-        PerStudySeries(label=s.label, points=single.points)
-        for s, single in zip(studies, singles)
-    )
-    export = build_export(curve, thresholds=(SUPPORT_THRESHOLD,), per_study=per_study)
+    export = build_export(curve, thresholds=(SUPPORT_THRESHOLD,), per_study=tuple(singles))
 
     print(f"combined ({curve.label}):")
     print(f"max BF {export.summary.max_bf10:.2f} at omega {curve.argmax_omega:.3f}")

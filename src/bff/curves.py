@@ -14,6 +14,7 @@ every open bracket at once.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -89,10 +90,20 @@ class _StudySum:
             )
             for family, members in groups.items()
         ]
+        # the largest omega with every c * omega^2 finite; c below 1 counts as 1,
+        # which keeps omega^2 itself finite
+        c = max(max(tau2_scale(s.design) for s in studies), 1.0)
+        self._omega_max = math.sqrt(sys.float_info.max / c)
+        while not math.isfinite(c * (self._omega_max * self._omega_max)):
+            self._omega_max = math.nextafter(self._omega_max, 0.0)
 
     def __call__(self, omegas: np.ndarray) -> np.ndarray:
         if not np.all(omegas >= 0):
             raise ValueError("effect sizes omega must be >= 0")
+        if omegas.size and omegas.max() > self._omega_max:
+            raise ValueError(
+                f"tau2 = c * omega^2 overflows; the largest usable omega is {self._omega_max!r}"
+            )
         w2 = omegas * omegas
         # omega = 0 is the point-null limit: tau2 = 0 and ln BF10 exactly 0
         live = w2 > 0

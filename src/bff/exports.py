@@ -10,9 +10,9 @@ is inf: CSV writes `inf`, JSON writes `null`; log_bf10 is always finite.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +35,7 @@ MAIN_COLOR = "#1c4587"
 SERIES_COLORS = ("#cc0000", "#38761d", "#674ea7", "#b45f06", "#134f5c")
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+_fmt = "{:.17g}".format  # a float with 17 significant digits
 
 
 def _json_num(x: float) -> str:
@@ -50,6 +49,43 @@ class ExportRow:
     bf10: float
     log_bf10: float
     zone: str
+
+
+@dataclass(frozen=True, eq=False)
+class ExportRows(Sequence):
+    """Read-only rows over omega and ln BF10 columns, copying neither.
+
+    bf10 and zone are derived: linear_bf(log_bf10) and omega's ZONE_BOUNDS band.
+    """
+
+    omegas: np.ndarray
+    log_bf10s: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.omegas)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return ExportRows(self.omegas[i], self.log_bf10s[i])
+        i = range(len(self))[i]  # IndexError past either end
+        return next(iter(self[i : i + 1]))
+
+    def __iter__(self):
+        return map(ExportRow, *self.columns())
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, ExportRows)
+            and np.array_equal(self.omegas, other.omegas)
+            and np.array_equal(self.log_bf10s, other.log_bf10s)
+        )
+
+    def columns(self) -> tuple[list[float], list[float], list[float], list[str]]:
+        """The omega, bf10, log_bf10 and zone columns as Python lists."""
+        omegas, log_bf10s = self.omegas.tolist(), self.log_bf10s.tolist()
+        bands = np.searchsorted(ZONE_BOUNDS, self.omegas, side="right").tolist()
+        zones = [_ZONE_NAMES[b] for b in bands]
+        return omegas, list(map(linear_bf, log_bf10s)), log_bf10s, zones
 
 
 @dataclass(frozen=True)
@@ -70,12 +106,12 @@ class ExportSummary:
 @dataclass(frozen=True)
 class PerStudySeries:
     label: str
-    points: tuple[tuple[float, float], ...]  # (omega, log_bf10)
+    points: ExportRows
 
 
 @dataclass(frozen=True)
 class CurveExport:
-    rows: tuple[ExportRow, ...]
+    rows: ExportRows
     summary: ExportSummary
     per_study: tuple[PerStudySeries, ...] = ()
     label: str = ""
@@ -91,12 +127,6 @@ def build_export(
     thresholds are Bayes factors (linear space) whose crossings get reported
     alongside the BF=1 crossings the curve already carries.
     """
-    log_bfs = curve.log_bfs.tolist()
-    bands = np.searchsorted(ZONE_BOUNDS, curve.omegas, side="right").tolist()
-    zones = [_ZONE_NAMES[i] for i in bands]
-    rows = tuple(
-        map(ExportRow, curve.omegas.tolist(), map(linear_bf, log_bfs), log_bfs, zones)
-    )
     threshold_blocks = tuple(
         ThresholdCrossings(t, tuple(find_crossings(curve, math.log(t))))
         for t in thresholds
@@ -109,19 +139,20 @@ def build_export(
         thresholds=threshold_blocks,
     )
     series = tuple(
-        PerStudySeries(c.label or f"study {i + 1}", c.points)
+        PerStudySeries(c.label or f"study {i + 1}", ExportRows(c.omegas, c.log_bfs))
         for i, c in enumerate(per_study)
     )
+    rows = ExportRows(curve.omegas, curve.log_bfs)
     return CurveExport(rows=rows, summary=summary, per_study=series, label=curve.label)
 
 
 def render_csv(export: CurveExport) -> str:
     """CSV document: data rows, then the summary as '#' comment lines."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["omega", "bf10", "log_bf10", "zone"])
-    for row in export.rows:
-        writer.writerow([_fmt(row.omega), _fmt(row.bf10), _fmt(row.log_bf10), row.zone])
+    # numbers and the fixed zone names never need CSV quoting
+    rows = [
+        f"{w:.17g},{bf:.17g},{lb:.17g},{zone}\n"
+        for w, bf, lb, zone in zip(*export.rows.columns())
+    ]
     s = export.summary
     lines = [
         f"# max_bf10 {_fmt(s.max_bf10)}",
@@ -136,25 +167,29 @@ def render_csv(export: CurveExport) -> str:
                 + [_fmt(w) for w in block.crossings]
             )
         )
-    buf.write("\n".join(lines) + "\n")
-    return buf.getvalue()
+    return "".join(["omega,bf10,log_bf10,zone\n", *rows, "\n".join(lines), "\n"])
 
 
 def parse_csv(text: str) -> CurveExport:
-    """Inverse of render_csv; parse(render(x)) re-renders byte-identically."""
-    data_lines: list[str] = []
-    comment_lines: list[str] = []
-    for line in text.splitlines():
-        if not line:
-            continue
-        (comment_lines if line.startswith("#") else data_lines).append(line)
-    reader = csv.reader(data_lines)
+    """Inverse of render_csv; parse(render(x)) re-renders byte-identically.
+
+    A row whose bf10 or zone disagrees with omega and log_bf10 is a ValueError.
+    """
+    lines = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line]
+    data = [(n, line) for n, line in lines if not line.startswith("#")]
+    comment_lines = [line for _, line in lines if line.startswith("#")]
+    reader = csv.reader(line for _, line in data)
     header = next(reader, None)
     if header != ["omega", "bf10", "log_bf10", "zone"]:
         raise ValueError(f"unexpected CSV header: {header}")
-    rows = tuple(
-        ExportRow(float(r[0]), float(r[1]), float(r[2]), r[3]) for r in reader
-    )
+    records = list(reader)
+    omegas = np.array([float(r[0]) for r in records])
+    log_bf10s = np.array([float(r[2]) for r in records])
+    omegas.flags.writeable = log_bf10s.flags.writeable = False
+    rows = ExportRows(omegas, log_bf10s)
+    for (n, line), r, row in zip(data[1:], records, rows):
+        if float(r[1]) != row.bf10 or r[3] != row.zone:
+            raise ValueError(f"CSV line {n} needs bf10 {_fmt(row.bf10)}, zone {row.zone!r}: {line}")
     fields: dict[str, float] = {}
     crossings: tuple[float, ...] = ()
     thresholds: list[ThresholdCrossings] = []
@@ -190,13 +225,13 @@ def parse_csv(text: str) -> CurveExport:
 
 def render_json(export: CurveExport) -> str:
     """JSON document mirroring the CSV contents plus any per-study series."""
+    n = len(export.rows)
     out: list[str] = ["{", '  "points": [']
-    for i, row in enumerate(export.rows):
-        comma = "," if i + 1 < len(export.rows) else ""
-        out.append(
-            f'    {{"omega": {_fmt(row.omega)}, "bf10": {_json_num(row.bf10)}, '
-            f'"log_bf10": {_fmt(row.log_bf10)}, "zone": {json.dumps(row.zone)}}}{comma}'
-        )
+    out += [
+        f'    {{"omega": {_fmt(w)}, "bf10": {_json_num(bf)}, '
+        f'"log_bf10": {_fmt(lb)}, "zone": {json.dumps(zone)}}}{"," if i < n else ""}'
+        for i, (w, bf, lb, zone) in enumerate(zip(*export.rows.columns()), 1)
+    ]
     out.append("  ],")
     s = export.summary
     out.append('  "summary": {')
@@ -222,7 +257,7 @@ def render_json(export: CurveExport) -> str:
         for i, series in enumerate(export.per_study):
             comma = "," if i + 1 < len(export.per_study) else ""
             pts = ", ".join(
-                f"[{_fmt(w)}, {_fmt(lb)}]" for w, lb in series.points
+                f"[{_fmt(w)}, {_fmt(lb)}]" for w, lb in _pairs(series.points)
             )
             out.append(
                 f'    {{"label": {json.dumps(series.label)}, "points": [{pts}]}}{comma}'
@@ -230,6 +265,11 @@ def render_json(export: CurveExport) -> str:
         out.append("  ]")
     out.append("}")
     return "\n".join(out) + "\n"
+
+
+def _pairs(rows: ExportRows):
+    """(omega, log_bf10) pairs of floats, one tolist() per column."""
+    return zip(rows.omegas.tolist(), rows.log_bf10s.tolist())
 
 
 def _escape(text: str) -> str:
@@ -242,11 +282,12 @@ def render_svg(export: CurveExport) -> str:
     ml, mr, mt, mb = 70, 24, 24, 56
     pw, ph = width - ml - mr, height - mt - mb
 
-    w_min = export.rows[0].omega
-    w_max = export.rows[-1].omega
-    logs10 = [r.log_bf10 / LN10 for r in export.rows]
-    for series in export.per_study:
-        logs10.extend(lb / LN10 for _, lb in series.points)
+    main = list(_pairs(export.rows))
+    studies = [list(_pairs(series.points)) for series in export.per_study]
+    w_min, w_max = main[0][0], main[-1][0]
+    logs10 = [lb / LN10 for _, lb in main]
+    for points in studies:
+        logs10.extend(lb / LN10 for _, lb in points)
     y_lo = math.floor(min(0.0, min(logs10)))
     y_hi = math.ceil(max(0.0, max(logs10)))
     if y_hi == y_lo:
@@ -311,13 +352,11 @@ def render_svg(export: CurveExport) -> str:
         f'stroke="#444444" stroke-width="1.5" stroke-dasharray="6 4" />'
     )
 
-    for i, series in enumerate(export.per_study):
+    for i, points in enumerate(studies):
         color = SERIES_COLORS[i % len(SERIES_COLORS)]
-        pts = [(x(w), y(lb / LN10)) for w, lb in series.points]
-        out.append(polyline(pts, color, 1.5))
+        out.append(polyline([(x(w), y(lb / LN10)) for w, lb in points], color, 1.5))
 
-    main_pts = [(x(r.omega), y(r.log_bf10 / LN10)) for r in export.rows]
-    out.append(polyline(main_pts, MAIN_COLOR, 2.5))
+    out.append(polyline([(x(w), y(lb / LN10)) for w, lb in main], MAIN_COLOR, 2.5))
 
     s = export.summary
     px, py = x(s.argmax_omega), y(s.max_log_bf10 / LN10)

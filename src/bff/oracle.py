@@ -22,6 +22,7 @@ from .numerics import (
     DEFAULT_SERIES,
     IntegrationError,
     QuadratureSpec,
+    SeriesError,
     SeriesSpec,
     integrate,
     log_beta,
@@ -134,6 +135,17 @@ def _nct_log_density_integral(
     return log_c + shift + math.log(total) - 0.5 * nu * lam * lam / (d * d)
 
 
+def _series_spec(series_spec: SeriesSpec, min_terms: int) -> SeriesSpec:
+    """series_spec with at least min_terms terms; SeriesError past max_terms."""
+    if min_terms > series_spec.max_terms:
+        raise SeriesError(f"series needs {min_terms} terms, over max_terms {series_spec.max_terms}")
+    return SeriesSpec(
+        term_rel_cutoff=series_spec.term_rel_cutoff,
+        min_terms=max(series_spec.min_terms, min_terms),
+        max_terms=series_spec.max_terms,
+    )
+
+
 def _nct_log_density_series(
     t: float, nu: int, lam: float, series_spec: SeriesSpec
 ) -> float:
@@ -160,17 +172,13 @@ def _nct_log_density_series(
     # terms rise before they fall; scale by the largest magnitude so the
     # guarded linear-space summation neither overflows nor stops early
     peak = int(a * a) + 10
+    spec = _series_spec(series_spec, peak)
     shift = max(log_abs_term(j) for j in range(peak + 1))
     sign = -1.0 if a < 0 else 1.0
 
     def term(j: int) -> float:
         return (sign**j) * math.exp(log_abs_term(j) - shift)
 
-    spec = SeriesSpec(
-        term_rel_cutoff=series_spec.term_rel_cutoff,
-        min_terms=max(series_spec.min_terms, peak),
-        max_terms=series_spec.max_terms,
-    )
     total = sum_series(term, spec)
     if total <= 0.0:
         raise ArithmeticError("noncentral t series lost all precision to cancellation")
@@ -196,16 +204,12 @@ def _poisson_series_log_density(
         )
 
     scan_hi = mode_hint + 10
+    spec = _series_spec(series_spec, scan_hi)
     shift = max(log_term(i) for i in range(scan_hi + 1))
 
     def term(i: int) -> float:
         return math.exp(log_term(i) - shift)
 
-    spec = SeriesSpec(
-        term_rel_cutoff=series_spec.term_rel_cutoff,
-        min_terms=max(series_spec.min_terms, scan_hi),
-        max_terms=series_spec.max_terms,
-    )
     return shift + math.log(sum_series(term, spec))
 
 

@@ -248,14 +248,28 @@ class TestNonFiniteInput:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_curve_is_a_compute_error(self, capsys):
-        # tau2 = n omega^2 / 2 overflows above omega ~ 1e154, and the closed
-        # form is NaN there
+        # tau2 = n omega^2 / 2 is finite up to omega ~ 1.9e153, but the z
+        # closed form overflows in tau2 z^2 there and is NaN
         code, out, err = run_cli(
-            capsys, "z", "--stat", "2", "--n", "100", "--omega-max", "1e200", "--steps", "11"
+            capsys, "z", "--stat", "2", "--n", "100", "--omega-max", "1.8e153", "--steps", "11"
         )
         assert code == 1
         assert "not finite" in err
         assert out == ""
+
+    def test_omega_overflowing_tau2_is_a_usage_error(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "bff.cli", "z", "--stat", "2", "--n", "100",
+             "--omega-max", "1e200", "--steps", "5"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "RuntimeWarning" not in proc.stderr
+        # the largest omega with n omega^2 / 2 finite, for n = 100
+        assert "largest usable omega is 1.896150381621835e+153" in proc.stderr
 
 
 class TestExtremeFiniteCurves:

@@ -1,17 +1,21 @@
 """Tests for CSV/JSON/SVG rendering of curve exports."""
 
+import hashlib
 import json
 import math
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
-from bff.bayes_factors import Family, TestStatistic
+from bff.bayes_factors import Family, TestStatistic, linear_bf
 from bff.curves import EffectGrid, Study, combine, evaluate_bff
 from bff.effect_sizes import Design, StudyDesign
 from bff.exports import (
     MAIN_COLOR,
     ZONE_BANDS,
+    ExportRow,
+    ExportRows,
     build_export,
     emit,
     parse_csv,
@@ -38,6 +42,37 @@ F_STUDIES = [
         label="replication",
     ),
 ]
+
+
+CHISQ_STUDY = Study(
+    TestStatistic(Family.CHISQ, 12.65, df1=6),
+    StudyDesign(Design.MULTINOMIAL_CHISQ, n=707, k=6),
+)
+
+# SHA-256 of render(export, fmt) for the README examples on the default grid:
+# the z example with thresholds 0.2 and 50, the chi-squared example with
+# threshold 0.2, and the combined F example with threshold 2 and per-study
+# series. A change to any of these bytes is a change to the export format.
+GOLDEN_SHA256 = {
+    ("z", "csv"): "b6240f2ff74e713069618b91dac1353941953b7d9507ebc5f94c73d7709a64b0",
+    ("z", "json"): "080f5fd8e1905d5dff4f0f0575ca1262e16b4539af95eab3666bc8edf248333c",
+    ("z", "svg"): "3f842b201c8c15dfd85731f0928526e4e47d9f9c9c517f85ef2d848dcb802460",
+    ("chisq", "csv"): "a983ce38d725761498dac125b027d8bb4405cc5064b768e6f50fd16608ecc0cf",
+    ("chisq", "json"): "c1c0e8395cc09bc0b49ef1973e0413fc670a9e17fa8565072963522bb1f05cc9",
+    ("chisq", "svg"): "75382e95a9f8a376f6da8cb0d87c22a46ced86edf033880b8e2b6b931fa67165",
+    ("f", "csv"): "288afe7dca2ba160f1fb66a414490bb8cc23aac32b3ff39de40795231b07234c",
+    ("f", "json"): "7340559282dd15ef488d41652eccf70bfbe444090ba24a57642ea912c97e9145",
+    ("f", "svg"): "0afe8f114d09e6320b8e230b1f273eafcdf9bcad83d2ee7c009411ac8901f476",
+}
+
+
+def readme_export(name):
+    if name == "z":
+        return build_export(evaluate_bff(Z_STUDY), thresholds=(0.2, 50.0))
+    if name == "chisq":
+        return build_export(evaluate_bff(CHISQ_STUDY), thresholds=(0.2,))
+    per_study = tuple(evaluate_bff(s) for s in F_STUDIES)
+    return build_export(combine(F_STUDIES), thresholds=(2.0,), per_study=per_study)
 
 
 def z_export(thresholds=(0.2, 50.0)):
@@ -72,6 +107,86 @@ class TestBuildExport:
         assert [s.label for s in export.per_study] == ["original", "replication"]
 
 
+def zone_of(omega):
+    if omega < 0.1:
+        return "very small"
+    if omega < 0.35:
+        return "small"
+    return "medium" if omega < 0.65 else "large"
+
+
+def eager_rows(curve):
+    """One ExportRow per grid point, built directly from the curve."""
+    return [
+        ExportRow(w, linear_bf(lb), lb, zone_of(w))
+        for w, lb in curve.points
+    ]
+
+
+class TestColumnarRows:
+    def test_len(self):
+        assert len(z_export().rows) == 61
+        assert len(ExportRows(np.array([]), np.array([]))) == 0
+
+    def test_int_and_negative_indexing(self):
+        curve = evaluate_bff(Z_STUDY, GRID)
+        rows, eager = build_export(curve).rows, eager_rows(curve)
+        for i in (0, 1, 30, 60, -1, -2, -61):
+            assert rows[i] == eager[i]
+        with pytest.raises(IndexError):
+            rows[61]
+        with pytest.raises(IndexError):
+            rows[-62]
+
+    def test_slices_are_rows_over_views(self):
+        curve = evaluate_bff(Z_STUDY, GRID)
+        rows, eager = build_export(curve).rows, eager_rows(curve)
+        for sl in (slice(10, 20), slice(None, None, 7), slice(-5, None), slice(None, None, -1)):
+            part = rows[sl]
+            assert isinstance(part, ExportRows)
+            assert list(part) == eager[sl]
+            assert np.shares_memory(part.omegas, curve.omegas)
+
+    def test_iteration_matches_eager_rows(self):
+        curve = combine(F_STUDIES, GRID)
+        assert list(build_export(curve).rows) == eager_rows(curve)
+
+    def test_zone_bounds_are_left_closed_both_ways(self):
+        rows = ExportRows(np.array([0.0, 0.1, 0.35, 0.65, 2.0]), np.zeros(5))
+        zones = ["very small", "small", "medium", "large", "large"]
+        assert [r.zone for r in rows] == zones
+        assert [rows[i].zone for i in range(5)] == zones
+
+    def test_equal_to_parsed_csv_rows(self):
+        export = combined_export()
+        assert parse_csv(render_csv(export)).rows == export.rows
+        assert parse_csv(render_csv(z_export())).rows != export.rows
+        assert export.rows != list(export.rows)
+
+    def test_saturated_row(self):
+        study = Study(TestStatistic(Family.Z, 40.0), StudyDesign(Design.ONE_SAMPLE_Z, n=1000))
+        export = build_export(evaluate_bff(study, GRID))
+        row = export.rows[-1]
+        assert row.bf10 == math.inf
+        assert math.isfinite(row.log_bf10) and row.log_bf10 > 709.79
+        assert row == eager_rows(evaluate_bff(study, GRID))[-1]
+        back = parse_csv(render_csv(export))
+        assert back.rows == export.rows
+        assert back.rows[-1] == row
+
+    def test_rows_share_the_curves_arrays(self):
+        curve = combine(F_STUDIES, GRID)
+        per_study = tuple(evaluate_bff(s, GRID) for s in F_STUDIES)
+        export = build_export(curve, per_study=per_study)
+        assert np.shares_memory(export.rows.omegas, curve.omegas)
+        assert np.shares_memory(export.rows.log_bf10s, curve.log_bfs)
+        for series, single in zip(export.per_study, per_study):
+            assert np.shares_memory(series.points.omegas, single.omegas)
+            assert np.shares_memory(series.points.log_bf10s, single.log_bfs)
+        assert not export.rows.omegas.flags.writeable
+        assert not parse_csv(render_csv(export)).rows.log_bf10s.flags.writeable
+
+
 class TestCsv:
     def test_header_and_comments(self):
         text = render_csv(z_export())
@@ -97,6 +212,21 @@ class TestCsv:
 
     def test_deterministic(self):
         assert render_csv(z_export()) == render_csv(z_export())
+
+    def test_rejects_bf10_that_is_not_exp_of_log_bf10(self):
+        text = (
+            "omega,bf10,log_bf10,zone\n0.5,999,0.1,bogus\n"
+            "# max_bf10 999\n# max_log_bf10 0.1\n# argmax_omega 0.5\n# crossings_bf1\n"
+        )
+        with pytest.raises(ValueError, match="line 2"):
+            parse_csv(text)
+
+    def test_rejects_zone_that_is_not_omegas_zone(self):
+        lines = render_csv(z_export()).splitlines(keepends=True)
+        assert lines[2].endswith(",very small\n")
+        lines[2] = lines[2].replace("very small", "large")
+        with pytest.raises(ValueError, match="line 3"):
+            parse_csv("".join(lines))
 
 
 class TestJson:
@@ -157,6 +287,12 @@ class TestSvg:
 
     def test_deterministic(self):
         assert render_svg(combined_export()) == render_svg(combined_export())
+
+
+@pytest.mark.parametrize("name, fmt", sorted(GOLDEN_SHA256))
+def test_golden_bytes(name, fmt):
+    text = render(readme_export(name), fmt)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_SHA256[name, fmt]
 
 
 class TestEmit:

@@ -12,7 +12,7 @@ from bff.bayes_factors import (
     log_bf_chisq,
     log_bf_f,
 )
-from bff.numerics import QuadratureSpec, integrate
+from bff.numerics import QuadratureSpec, SeriesError, integrate
 from bff.oracle import (
     NoncentralDensityQuery,
     log_bf_quadrature,
@@ -143,6 +143,24 @@ class TestNoncentralDensities:
             log_density_null(Family.T, 1.3, 9),
             rel_tol=1e-12,
         )
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            NoncentralDensityQuery(Family.CHISQ, 12.65, 210000.0, df1=6),
+            NoncentralDensityQuery(Family.F, 2.0, 210000.0, df1=3, df2=20),
+        ],
+        ids=["chisq", "f"],
+    )
+    def test_series_past_max_terms_is_a_series_error(self, query):
+        # the Poisson mode near lam/2 needs more terms than max_terms allows:
+        # a compute failure (SeriesError), not a bad SeriesSpec (ValueError)
+        with pytest.raises(SeriesError, match="max_terms"):
+            log_density_noncentral(query)
+
+    def test_t_series_past_max_terms_is_a_series_error(self):
+        with pytest.raises(SeriesError, match="max_terms"):
+            noncentral_t_log_density_series(300.0, 5, 1000.0)
 
     def test_z_shift(self):
         q = NoncentralDensityQuery(Family.Z, 2.5, 2.5)
