@@ -104,11 +104,12 @@ def _check_tau2(tau2) -> None:
         raise ValueError(f"tau2 must be > 0, got {np.min(tau2)}")
 
 
-def log_bf_z(z, tau2):
-    """ln BF10 for a z statistic under a J(0, tau2) prior on the mean shift."""
-    _check_tau2(tau2)
-    w = tau2 * z * z / (tau2 + 1.0)
-    return _result(-1.5 * np.log1p(tau2) + np.log1p(w) + 0.5 * w)
+def _z(z, tau2):
+    with np.errstate(over="ignore"):  # near the largest tau2, tau2 z^2 overflows but w does not
+        w = tau2 * z * z / (tau2 + 1.0)
+        if not np.isfinite(w).all():
+            w = np.where(np.isfinite(w), w, z * z * (tau2 / (tau2 + 1.0)))
+    return -1.5 * np.log1p(tau2) + np.log1p(w) + 0.5 * w
 
 
 def _tf_terms(x, lp, tau2, c, half_df):
@@ -124,15 +125,41 @@ def _tf_terms(x, lp, tau2, c, half_df):
     return half_df * np.log1p(g) + np.log1p(c * g)
 
 
+def _t(t, nu, tau2):
+    lp = np.log1p(tau2)
+    with np.errstate(divide="ignore"):  # ln 0 = -inf at t = 0 is exact
+        x = 2.0 * np.log(np.abs(t)) - np.log(nu)
+    return -1.5 * lp + _tf_terms(x, lp, tau2, nu + 1.0, 0.5 * (nu + 1.0))
+
+
+def _chisq(h, k, tau2):
+    u = tau2 * h / (tau2 + 1.0)
+    return -(0.5 * k + 1.0) * np.log1p(tau2) + np.log1p(u / k) + 0.5 * u
+
+
+def _f(f, k, m, tau2):
+    lp = np.log1p(tau2)
+    with np.errstate(divide="ignore"):  # ln 0 = -inf at f = 0 is exact
+        x = np.log(f) + np.log(k / m)
+    return -(0.5 * k + 1.0) * lp + _tf_terms(x, lp, tau2, (k + m) / k, 0.5 * (k + m))
+
+
+# each form's kernel: the public form without its argument checks
+KERNELS = {Family.Z: _z, Family.T: _t, Family.CHISQ: _chisq, Family.F: _f}
+
+
+def log_bf_z(z, tau2):
+    """ln BF10 for a z statistic under a J(0, tau2) prior on the mean shift."""
+    _check_tau2(tau2)
+    return _result(_z(z, tau2))
+
+
 def log_bf_t(t, nu, tau2):
     """ln BF10 for a t statistic on nu df under a J(0, tau2) prior."""
     if np.any(nu < 1):
         raise ValueError(f"nu must be >= 1, got {np.min(nu)}")
     _check_tau2(tau2)
-    lp = np.log1p(tau2)
-    with np.errstate(divide="ignore"):  # ln 0 = -inf at t = 0 is exact
-        x = 2.0 * np.log(np.abs(t)) - np.log(nu)
-    return _result(-1.5 * lp + _tf_terms(x, lp, tau2, nu + 1.0, 0.5 * (nu + 1.0)))
+    return _result(_t(t, nu, tau2))
 
 
 def log_bf_chisq(h, k, tau2):
@@ -142,8 +169,7 @@ def log_bf_chisq(h, k, tau2):
     if np.any(k < 1):
         raise ValueError(f"k must be >= 1, got {np.min(k)}")
     _check_tau2(tau2)
-    u = tau2 * h / (tau2 + 1.0)
-    return _result(-(0.5 * k + 1.0) * np.log1p(tau2) + np.log1p(u / k) + 0.5 * u)
+    return _result(_chisq(h, k, tau2))
 
 
 def log_bf_f(f, k, m, tau2):
@@ -153,20 +179,14 @@ def log_bf_f(f, k, m, tau2):
     if np.any(k < 1) or np.any(m < 1):
         raise ValueError(f"degrees of freedom must be >= 1, got ({np.min(k)}, {np.min(m)})")
     _check_tau2(tau2)
-    lp = np.log1p(tau2)
-    with np.errstate(divide="ignore"):  # ln 0 = -inf at f = 0 is exact
-        x = np.log(f) + np.log(k / m)
-    return _result(
-        -(0.5 * k + 1.0) * lp + _tf_terms(x, lp, tau2, (k + m) / k, 0.5 * (k + m))
-    )
+    return _result(_f(f, k, m, tau2))
 
 
 def log_bf(stat: TestStatistic, tau2):
     """Dispatch to the closed form matching stat.family.
 
     stat may also be any object with TestStatistic's four fields whose value,
-    df1 and df2 are arrays: the forms broadcast them against tau2, which is
-    how a curve evaluates many studies of one family in one call.
+    df1 and df2 are arrays: the forms broadcast them against tau2.
     """
     if stat.family is Family.Z:
         return log_bf_z(stat.value, tau2)

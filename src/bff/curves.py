@@ -5,10 +5,10 @@ scale tau2 = c * omega^2 through the study design. This module evaluates
 single-study curves and combines independent studies by summing log Bayes
 factors at a shared omega. Every evaluation is one array expression over
 studies x omegas: the studies of each statistic family are stacked into
-columns, and one closed-form call per family covers the whole grid. The
-grid argmax is refined, and threshold crossings are located, by k-section
-on the exact function: each round evaluates a batch of points spread over
-every open bracket at once.
+columns, and one closed-form call per family covers the whole grid. One
+k-section loop on the exact function refines the grid argmax and locates the
+crossings of every threshold: each round evaluates the points of all open
+brackets in one call.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bayes_factors import Family, TestStatistic, log_bf
+from .bayes_factors import KERNELS, Family, TestStatistic
 from .effect_sizes import StudyDesign, statistic_family_for, tau2_scale
 
 _REFINE_TOL = 1e-6
@@ -57,18 +57,8 @@ class Study:
         return float(_StudySum((self,))(np.array([omega], dtype=float))[0])
 
 
-@dataclass(frozen=True)
-class _Columns:
-    """One family's statistics with each field stacked into an (S, 1) column."""
-
-    family: Family
-    value: np.ndarray
-    df1: np.ndarray | None
-    df2: np.ndarray | None
-
-
 class _StudySum:
-    """omegas -> sum over studies of ln BF10, one log_bf call per family."""
+    """omegas -> sum over studies of ln BF10, one closed-form call per family."""
 
     def __init__(self, studies: Sequence[Study]):
         groups: dict[Family, list[Study]] = {}
@@ -78,18 +68,14 @@ class _StudySum:
         def column(xs):
             return None if xs[0] is None else np.array(xs, dtype=float)[:, None]
 
-        self._groups = [
-            (
-                _Columns(
-                    family,
-                    column([s.statistic.value for s in members]),
-                    column([s.statistic.df1 for s in members]),
-                    column([s.statistic.df2 for s in members]),
-                ),
-                column([tau2_scale(s.design) for s in members]),
+        self._groups = []
+        for family, members in groups.items():
+            value, df1, df2 = (
+                column([getattr(s.statistic, f) for s in members]) for f in ("value", "df1", "df2")
             )
-            for family, members in groups.items()
-        ]
+            data = tuple(x for x in (value, df1, df2) if x is not None)
+            scale = column([tau2_scale(s.design) for s in members])
+            self._groups.append((KERNELS[family], data, scale))
         # the largest omega with every c * omega^2 finite; c below 1 counts as 1,
         # which keeps omega^2 itself finite
         c = max(max(tau2_scale(s.design) for s in studies), 1.0)
@@ -104,14 +90,14 @@ class _StudySum:
             raise ValueError(
                 f"tau2 = c * omega^2 overflows; the largest usable omega is {self._omega_max!r}"
             )
+        return self.unchecked(omegas)
+
+    def unchecked(self, omegas: np.ndarray) -> np.ndarray:
+        """The same sum without the grid checks, for omegas inside a checked grid."""
+        # every kernel is exactly 0 at tau2 = 0, so omega = 0 (and any omega whose
+        # tau2 underflows) gives the point-null limit ln BF10 = 0
         w2 = omegas * omegas
-        # omega = 0 is the point-null limit: tau2 = 0 and ln BF10 exactly 0
-        live = w2 > 0
-        total = np.zeros(omegas.shape)
-        total[live] = sum(
-            log_bf(stats, scale * w2[live]).sum(axis=0) for stats, scale in self._groups
-        )
-        return total
+        return sum(kernel(*data, scale * w2).sum(axis=0) for kernel, data, scale in self._groups)
 
 
 @dataclass(frozen=True)
@@ -160,84 +146,97 @@ class BFFCurve:
         return tuple(zip(self.omegas.tolist(), self.log_bfs.tolist()))
 
 
-def refine_max(
-    omegas: np.ndarray, log_bfs: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]
-) -> tuple[float, float]:
-    """Refine the argmax of fn within the grid bracket around the best point.
-
-    Each round samples the bracket's ends and _K evenly spaced points between
-    them, and keeps the neighbours of the best one, until the bracket is at
-    most 1e-6 wide. The result is never below the best grid value, so a
-    monotone curve keeps its boundary argmax.
-    """
-    best = int(np.argmax(log_bfs))
-    best_omega, best_value = float(omegas[best]), float(log_bfs[best])
-    a = omegas[max(best - 1, 0)]
-    b = omegas[min(best + 1, len(omegas) - 1)]
-    while b - a > _REFINE_TOL:
-        xs = a + (b - a) * _SPREAD
-        j = int(np.argmax(fn(xs)))
-        a, b = xs[max(j - 1, 0)], xs[min(j + 1, _K + 1)]
-    omega = 0.5 * (a + b)
-    value = float(fn(np.array([omega]))[0])
-    if value >= best_value:
-        return float(omega), value
-    return best_omega, best_value
-
-
-def _crossings(
+def _refine(
     omegas: np.ndarray,
     log_bfs: np.ndarray,
     fn: Callable[[np.ndarray], np.ndarray],
-    threshold: float,
-) -> tuple[float, ...]:
-    """Omegas where fn crosses threshold, between grid points of opposite sign.
+    thresholds: Sequence[float] = (),
+    maximum: bool = True,
+) -> tuple[tuple[float, float] | None, list[tuple[float, ...]]]:
+    """The refined argmax and maximum of fn, and its crossings of each threshold.
 
-    Grid points landing exactly on the threshold (notably the omega = 0
-    limit, where every curve starts at ln BF = 0) are not counted; only
-    strict sign changes between adjacent points are. Each round samples _K
-    interior points of every bracket wider than 1e-6 in one call and keeps
-    the first sub-interval whose sign changes; a sample exactly on the
-    threshold closes its bracket there.
+    One k-section loop refines every bracket to at most 1e-6 wide; each round
+    evaluates all of them in one call to fn, and no bracket sees another's
+    points. The maximum's bracket spans the neighbours of the
+    best grid point; each round samples its ends and _K points between them
+    and keeps the neighbours of the best one. The result is never below the
+    best grid value, so a monotone curve keeps its boundary argmax. Crossings
+    are bracketed by adjacent grid points where fn - threshold changes sign
+    strictly, so a grid point on the threshold (notably omega = 0, where every
+    curve starts at ln BF = 0) is not one. Each round samples _K interior
+    points and keeps the first sub-interval whose sign changes; a sample
+    exactly on the threshold closes its bracket there.
     """
-    g = log_bfs - threshold
-    ga, gb = g[:-1], g[1:]
-    start = np.flatnonzero((ga != 0) & (gb != 0) & ((ga > 0) != (gb > 0)))
+    levels = np.asarray(thresholds, dtype=float)[:, None]
+    sign = np.sign(log_bfs - levels)
+    which, start = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0)
     lo, hi = omegas[start], omegas[start + 1]
-    above = ga[start] > 0  # the sign at each bracket's low end, kept throughout
+    level, side = levels[which], sign[which, start, None]  # side: the sign at lo, kept throughout
+    rows = np.arange(len(start))
+    # (fn - threshold) * side at each bracket's samples, positive at lo, then -1 standing in for hi
+    h = np.full((len(start), _K + 1), -1.0)
+    if maximum:
+        best = int(np.argmax(log_bfs))
+        a = omegas[max(best - 1, 0)]
+        b = omegas[min(best + 1, len(omegas) - 1)]
     while True:
-        open_ = np.flatnonzero(hi - lo > _REFINE_TOL)
-        if open_.size == 0:
+        width = hi - lo
+        open_ = width > _REFINE_TOL
+        refining = maximum and b - a > _REFINE_TOL
+        if not (refining or open_.any()):
             break
-        a, b = lo[open_], hi[open_]
-        xs = a[:, None] + (b - a)[:, None] * _SPREAD[1:-1]
-        gx = fn(xs.ravel()).reshape(xs.shape) - threshold
-        # the first sample on the threshold or across it from a; b always is
-        last = np.ones((open_.size, 1), bool)
-        j = np.hstack([(gx == 0) | ((gx > 0) != above[open_, None]), last]).argmax(axis=1)
-        exact = np.hstack([gx == 0, ~last])[np.arange(open_.size), j]
-        ends = np.hstack([a[:, None], xs, b[:, None]])
-        hi[open_] = ends[np.arange(open_.size), j + 1]
-        lo[open_] = np.where(exact, hi[open_], ends[np.arange(open_.size), j])
-    return tuple((0.5 * (lo + hi)).tolist())
+        xs = a + (b - a) * _SPREAD if refining else _SPREAD[:0]
+        # every crossing bracket's ends and _K points between; closed ones keep their ends
+        ends = lo[:, None] + width[:, None] * _SPREAD
+        ends[:, -1] = hi
+        values = fn(np.concatenate([xs, ends[:, 1:-1].ravel()]))
+        if refining:
+            j = int(np.argmax(values[: _K + 2]))
+            a, b = xs[max(j - 1, 0)], xs[min(j + 1, _K + 1)]
+        if lo.size:
+            np.multiply(values[xs.size :].reshape(-1, _K) - level, side, out=h[:, :-1])
+            j = (h <= 0).argmax(axis=1)  # the first sample on the threshold or across it, else hi
+            new_hi = ends[rows, j + 1]
+            hi = np.where(open_, new_hi, hi)
+            lo = np.where(open_, np.where(h[rows, j] == 0, new_hi, ends[rows, j]), lo)
+    mids = (0.5 * (lo + hi)).tolist()
+    crossings = [tuple(m for m, w in zip(mids, which) if w == i) for i in range(len(levels))]
+    if not maximum:
+        return None, crossings
+    omega = 0.5 * (a + b)
+    value = float(fn(np.array([omega]))[0])
+    if value >= log_bfs[best]:
+        return (float(omega), value), crossings
+    return (float(omegas[best]), float(log_bfs[best])), crossings
 
 
-def _build_curve(
-    fn: Callable[[np.ndarray], np.ndarray], grid: EffectGrid, label: str
-) -> BFFCurve:
+def refine_max(
+    omegas: np.ndarray, log_bfs: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]
+) -> tuple[float, float]:
+    """The argmax and maximum of fn, refined to 1e-6 around the best grid point."""
+    return _refine(omegas, log_bfs, fn)[0]
+
+
+def threshold_crossings(curve: BFFCurve, log_thresholds: Sequence[float]) -> list[tuple]:
+    """The omegas where the curve crosses each ln BF10 threshold, in one pass."""
+    return _refine(curve.omegas, curve.log_bfs, curve.log_bf_fn, log_thresholds, False)[1]
+
+
+def _build_curve(fn: _StudySum, grid: EffectGrid, label: str) -> BFFCurve:
     omegas = grid.omegas()
     log_bfs = fn(omegas)
     if not np.all(np.isfinite(log_bfs)):
         raise FloatingPointError("ln BF10 is not finite at some grid point")
     omegas.flags.writeable = False
     log_bfs.flags.writeable = False
-    argmax_omega, max_log_bf = refine_max(omegas, log_bfs, fn)
+    # the grid passed fn's checks, so the rounds inside it need none
+    (argmax_omega, max_log_bf), (crossings,) = _refine(omegas, log_bfs, fn.unchecked, (0.0,))
     return BFFCurve(
         omegas=omegas,
         log_bfs=log_bfs,
         max_log_bf=max_log_bf,
         argmax_omega=argmax_omega,
-        crossings=_crossings(omegas, log_bfs, fn, 0.0),
+        crossings=crossings,
         label=label,
         log_bf_fn=fn,
     )
@@ -263,4 +262,4 @@ def combine(studies: Sequence[Study], grid: EffectGrid = EffectGrid()) -> BFFCur
 
 def find_crossings(curve: BFFCurve, threshold_log_bf: float) -> list[float]:
     """Omegas where the curve crosses the given log Bayes factor."""
-    return list(_crossings(curve.omegas, curve.log_bfs, curve.log_bf_fn, threshold_log_bf))
+    return list(threshold_crossings(curve, (threshold_log_bf,))[0])

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bayes_factors import linear_bf
-from .curves import BFFCurve, find_crossings
+from .curves import BFFCurve, threshold_crossings
 from .effect_sizes import ZONE_BOUNDS, ZONES
 
 LN10 = math.log(10.0)
@@ -127,10 +127,8 @@ def build_export(
     thresholds are Bayes factors (linear space) whose crossings get reported
     alongside the BF=1 crossings the curve already carries.
     """
-    threshold_blocks = tuple(
-        ThresholdCrossings(t, tuple(find_crossings(curve, math.log(t))))
-        for t in thresholds
-    )
+    crossings = threshold_crossings(curve, [math.log(t) for t in thresholds])
+    threshold_blocks = tuple(map(ThresholdCrossings, thresholds, crossings))
     summary = ExportSummary(
         max_bf10=linear_bf(curve.max_log_bf),
         max_log_bf10=curve.max_log_bf,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bff.bayes_factors import (
+    KERNELS,
     Family,
     OddsValue,
     TestStatistic,
@@ -196,6 +197,27 @@ class TestDispatchAndOdds:
         ]
         for stat, want in cases:
             assert log_bf(stat, 0.9) == want
+
+    @pytest.mark.parametrize(
+        "family, data",
+        [
+            (Family.Z, (1.7,)),
+            (Family.Z, (0.0,)),
+            (Family.T, (2.2, 14.0)),
+            (Family.T, (0.0, 14.0)),
+            (Family.CHISQ, (7.5, 4.0)),
+            (Family.F, (3.1, 2.0, 40.0)),
+            (Family.F, (0.0, 2.0, 40.0)),
+        ],
+    )
+    def test_kernels_are_the_checked_forms_and_zero_at_tau2_zero(self, family, data):
+        # curves evaluate k-section points through the kernels without masking
+        # omega = 0, where tau2 = 0 and ln BF10 must come out exactly 0
+        stat = TestStatistic(family, *data[:1], *(int(d) for d in data[1:]))
+        assert KERNELS[family](*data, 0.9) == log_bf(stat, 0.9)
+        zero = KERNELS[family](*(np.array([[d]]) for d in data), np.zeros(3))
+        assert zero.tolist() == [[0.0, 0.0, 0.0]]
+        assert not np.signbit(zero).any()
 
     def test_odds_value(self):
         assert OddsValue(0.0).bf10 == 1.0

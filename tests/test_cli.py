@@ -248,14 +248,37 @@ class TestNonFiniteInput:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_curve_is_a_compute_error(self, capsys):
-        # tau2 = n omega^2 / 2 is finite up to omega ~ 1.9e153, but the z
-        # closed form overflows in tau2 z^2 there and is NaN
-        code, out, err = run_cli(
-            capsys, "z", "--stat", "2", "--n", "100", "--omega-max", "1.8e153", "--steps", "11"
-        )
+        # ln BF10 grows like z^2 / 2 ~ 1e400 here, which no double holds
+        code, out, err = run_cli(capsys, "z", "--stat", "1e200", "--n", "100")
         assert code == 1
         assert "not finite" in err
         assert out == ""
+
+    def test_z_curve_near_the_omega_limit_is_finite(self):
+        # tau2 z^2 overflows at omega 1.8e153, but ln BF10 ~ -1061 is finite
+        proc = subprocess.run(
+            [sys.executable, "-m", "bff.cli", "z", "--stat", "2", "--n", "100",
+             "--omega-max", "1.8e153", "--steps", "5"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "nan" not in proc.stdout.lower()
+        assert "RuntimeWarning" not in proc.stderr
+
+    def test_omega_whose_tau2_underflows_is_the_point_null_limit(self):
+        # n = 1 gives c = 0.5: omega 2.2e-162 has omega^2 = 4.9e-324 and tau2 = 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "bff.cli", "z", "--stat", "2", "--n", "1",
+             "--omega-max", "4.4e-162", "--steps", "3"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "2.1999999999999999e-162,1,0,very small" in proc.stdout
+        assert "RuntimeWarning" not in proc.stderr
 
     def test_omega_overflowing_tau2_is_a_usage_error(self):
         proc = subprocess.run(

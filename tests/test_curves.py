@@ -2,11 +2,23 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bff.bayes_factors import Family, TestStatistic, log_bf
-from bff.curves import EffectGrid, Study, combine, evaluate_bff, find_crossings
+from bff.curves import (
+    BFFCurve,
+    EffectGrid,
+    Study,
+    _StudySum,
+    combine,
+    evaluate_bff,
+    find_crossings,
+    refine_max,
+)
 from bff.effect_sizes import Design, EffectSize, StudyDesign, tau2_for
+from bff.exports import build_export
 
 Z_STUDY = Study(
     TestStatistic(Family.Z, 2.0), StudyDesign(Design.ONE_SAMPLE_Z, n=100)
@@ -256,3 +268,93 @@ class TestGridInvariance:
             for got, want in zip(crossings, base_crossings):
                 assert len(got) == len(want)
                 assert all(abs(a - b) <= 2e-6 for a, b in zip(got, want))
+
+
+class TestEvaluationCount:
+    """A curve and its export cost a fixed number of _StudySum calls."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        # a checked call checks its grid and then calls unchecked, so counting
+        # unchecked counts every evaluation once
+        count = [0]
+        original = _StudySum.unchecked
+
+        def counted(self, omegas):
+            count[0] += 1
+            return original(self, omegas)
+
+        monkeypatch.setattr(_StudySum, "unchecked", counted)
+        return count
+
+    def test_curve_then_export(self, calls):
+        # the grid sweep, three joint k-section rounds and the maximum's midpoint
+        curve = evaluate_bff(Z_STUDY)
+        assert calls[0] <= 5
+        # three joint rounds, whatever the number of thresholds and crossings
+        for thresholds, counts in [((0.2, 50.0), [1, 0]), ((0.2, 2.0, 50.0), [1, 2, 0])]:
+            calls[0] = 0
+            export = build_export(curve, thresholds)
+            assert calls[0] <= 3
+            assert [len(b.crossings) for b in export.summary.thresholds] == counts
+
+
+@st.composite
+def studies(draw):
+    family = draw(st.sampled_from(list(Family)))
+    n = draw(st.integers(10, 2000))
+    if family is Family.Z:
+        stat = TestStatistic(family, draw(st.floats(-6.0, 6.0)))
+        return Study(stat, StudyDesign(Design.ONE_SAMPLE_Z, n=n))
+    if family is Family.T:
+        stat = TestStatistic(family, draw(st.floats(-6.0, 6.0)), df1=n - 1)
+        return Study(stat, StudyDesign(Design.ONE_SAMPLE_T, n=n))
+    k = draw(st.integers(1, 5))
+    if family is Family.CHISQ:
+        stat = TestStatistic(family, draw(st.floats(0.0, 40.0)), df1=k)
+        return Study(stat, StudyDesign(Design.LIKELIHOOD_RATIO_CHISQ, n=n, k=k))
+    stat = TestStatistic(family, draw(st.floats(0.0, 10.0)), df1=k, df2=n - k - 1)
+    return Study(stat, StudyDesign(Design.LINEAR_MODEL_F, n=n, k=k))
+
+
+class TestBatchIndependence:
+    """Each bracket's result is the same whatever shares its k-section rounds."""
+
+    @settings(max_examples=60, deadline=2000)
+    @given(
+        st.lists(studies(), min_size=1, max_size=3),
+        st.lists(st.floats(0.05, 20.0), min_size=1, max_size=3),
+        st.integers(10, 300),
+    )
+    def test_joint_pass_matches_one_bracket_set_at_a_time(self, members, thresholds, steps):
+        grid = EffectGrid(0.0, 1.0, steps)
+        curve = evaluate_bff(members[0], grid) if len(members) == 1 else combine(members, grid)
+        export = build_export(curve, tuple(thresholds))
+        for block in export.summary.thresholds:
+            assert list(block.crossings) == find_crossings(curve, math.log(block.threshold_bf))
+        assert list(curve.crossings) == find_crossings(curve, 0.0)
+        assert (curve.argmax_omega, curve.max_log_bf) == refine_max(
+            curve.omegas, curve.log_bfs, curve.log_bf_fn
+        )
+
+    def test_refine_max_checks_the_omegas_it_is_given(self):
+        curve = evaluate_bff(Z_STUDY)
+        omegas = -curve.omegas[::-1]
+        with pytest.raises(ValueError, match="omega must be >= 0"):
+            refine_max(omegas, curve.log_bfs[::-1], curve.log_bf_fn)
+        omegas = np.array([0.0, 1e200, 2e200])
+        with pytest.raises(ValueError, match="overflows"):
+            refine_max(omegas, np.zeros(3), curve.log_bf_fn)
+
+    def test_any_function_without_an_unchecked_method(self):
+        omegas = np.linspace(0.0, 1.0, 11)
+
+        def fn(w):
+            return 1.0 - 20.0 * (w - 0.3217) ** 2
+
+        argmax, top = refine_max(omegas, fn(omegas), fn)
+        assert abs(argmax - 0.3217) <= 1e-6 and top >= fn(omegas).max()
+        curve = BFFCurve(omegas, fn(omegas), top, argmax, (), log_bf_fn=fn)
+        # 1 - 20 (w - 0.3217)^2 = 0 at w = 0.3217 -+ sqrt(0.05)
+        want = [0.3217 - math.sqrt(0.05), 0.3217 + math.sqrt(0.05)]
+        assert find_crossings(curve, 0.0) == pytest.approx(want, abs=1e-6)

@@ -295,6 +295,65 @@ def test_golden_bytes(name, fmt):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_SHA256[name, fmt]
 
 
+MIXED_STUDIES = [
+    Study(
+        TestStatistic(Family.Z, 2.1), StudyDesign(Design.TWO_SAMPLE_Z, n1=40, n2=45), label="z"
+    ),
+    Study(TestStatistic(Family.T, 1.7, df1=29), StudyDesign(Design.ONE_SAMPLE_T, n=30), label="t"),
+    Study(
+        TestStatistic(Family.CHISQ, 9.2, df1=3),
+        StudyDesign(Design.LIKELIHOOD_RATIO_CHISQ, n=200, k=3),
+        label="chisq",
+    ),
+    F_STUDIES[0],
+]
+
+
+def shape_export(name):
+    """Exports on the 61-point grid whose maxima and crossings take each path
+    of the refinement: a threshold never crossed, one crossed twice, an argmax
+    on the grid boundary, a combine over all four families and three
+    thresholds on one curve."""
+    if name == "no_crossing":
+        return build_export(evaluate_bff(CHISQ_STUDY, GRID), thresholds=(1e3,))
+    if name == "two_crossings":
+        return build_export(combine(F_STUDIES, GRID), thresholds=(2.0,))
+    if name == "boundary_max":
+        study = Study(TestStatistic(Family.Z, 0.0), StudyDesign(Design.ONE_SAMPLE_Z, n=100))
+        return build_export(evaluate_bff(study, GRID), thresholds=(0.2,))
+    if name == "four_families":
+        per_study = tuple(evaluate_bff(s, GRID) for s in MIXED_STUDIES)
+        return build_export(
+            combine(MIXED_STUDIES, GRID), thresholds=(0.2, 10.0), per_study=per_study
+        )
+    return build_export(evaluate_bff(Z_STUDY, GRID), thresholds=(0.2, 2.0, 50.0))
+
+
+SHAPE_SHA256 = {
+    ("boundary_max", "csv"): "06c4f8483780fe79910205bd72992b13b38c66512136e4fb0288042d38ea4783",
+    ("boundary_max", "json"): "e429ac88a951af4ffee14d4fa47bf5ba9d85e4a32d48ed4600f520d6d19ce2ba",
+    ("boundary_max", "svg"): "f474f09994eb583c88d91925f8120f7e3336be3b96121b52105b108c81992ab2",
+    ("four_families", "csv"): "53a330b29c76490b90ee078e6ab2958cb2f1db836546683ef5b1e456ac23ff70",
+    ("four_families", "json"): "10afd1c24f207fd3f31591d956be784ddec39eb4102c791aa1c7a4bb2f937b1d",
+    ("four_families", "svg"): "fffb4b9b86a3e25330ac4661c6b727fb118cd6cb7475f173dfaf67965968936d",
+    ("no_crossing", "csv"): "784f8914db6497f4355169b5ff09fa76759f8e4e217a5c137145e2ae0ae65bbd",
+    ("no_crossing", "json"): "a2f1a00555ac335d91ae7720dee83af6414aa8ef5b9b78b35bc87f591f483ef8",
+    ("no_crossing", "svg"): "c81efe8bd8b768a96e7b53248ac88d613065b1bc27c6e7a9a61d9b09f134f7bd",
+    ("three_thresholds", "csv"): "310a2e7ec90e91d8ddf26d0c2fd2ad5dc686dda74fec54ef7eb3ccdd5f7a2e0e",
+    ("three_thresholds", "json"): "93ac49aa869f421157d980cf31763c7205e5e45fa7de5ff6ab2fb5d4628eb69f",
+    ("three_thresholds", "svg"): "b8de2a0adbd062f18177d22febe926acba6d36dad44bef1030af451e02c2f702",
+    ("two_crossings", "csv"): "5222daf8d36a0a693e84570be6f9948a5fff0adadc6a82103f62a6146cef477f",
+    ("two_crossings", "json"): "900fd70468da74610087247c4df9b43f9bd9283e2f9c593b52d09dbb06cfa4fa",
+    ("two_crossings", "svg"): "7814dda3e77282142dea25f66b2aca35697bb90931099053f63258f69bab08c5",
+}
+
+
+@pytest.mark.parametrize("name, fmt", sorted(SHAPE_SHA256))
+def test_golden_bytes_of_refinement_shapes(name, fmt):
+    text = render(shape_export(name), fmt)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SHAPE_SHA256[name, fmt]
+
+
 class TestEmit:
     def test_writes_rendered_text(self, tmp_path):
         export = z_export()
