@@ -258,8 +258,10 @@ def _oracle_report(studies: list[Study], curve: BFFCurve) -> None:
     for omega, log_bf_closed in sampled:
         log_bf_quad = 0.0
         for study in studies:
+            # tau2 = c omega^2 can underflow to 0, the point null: ln BF10 = 0
             tau2 = tau2_for(study.design, EffectSize(omega))
-            log_bf_quad += log_bf_quadrature(study.statistic, tau2)
+            if tau2 > 0.0:
+                log_bf_quad += log_bf_quadrature(study.statistic, tau2)
         worst = max(worst, abs(log_bf_quad - log_bf_closed))
     print(f"oracle max |dlog BF| {worst:.3e} over {len(sampled)} grid points")
 

@@ -25,11 +25,12 @@ LN10 = math.log(10.0)
 _ZONE_NAMES = tuple(z.value for z in ZONES)
 
 # zone shading for the SVG plots, from very small through large
-ZONE_BANDS = (
-    (0.0, 0.1, "#f4cccc"),
-    (0.1, 0.35, "#fce5cd"),
-    (0.35, 0.65, "#cfe2f3"),
-    (0.65, math.inf, "#d9ead3"),
+ZONE_BANDS = tuple(
+    zip(
+        (0.0, *ZONE_BOUNDS),
+        (*ZONE_BOUNDS, math.inf),
+        ("#f4cccc", "#fce5cd", "#cfe2f3", "#d9ead3"),
+    )
 )
 MAIN_COLOR = "#1c4587"
 SERIES_COLORS = ("#cc0000", "#38761d", "#674ea7", "#b45f06", "#134f5c")

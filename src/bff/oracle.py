@@ -37,7 +37,8 @@ from .priors import (
     nm_log_density,
 )
 
-_COARSE_POINTS = 101
+# a geometric scan from 1e-9 * end to end, as fractions of the end
+_SCAN = np.geomspace(1e-9, 1.0, 101)
 
 
 @dataclass(frozen=True)
@@ -146,10 +147,13 @@ def _series_spec(series_spec: SeriesSpec, min_terms: int) -> SeriesSpec:
     )
 
 
-def _nct_log_density_series(
-    t: float, nu: int, lam: float, series_spec: SeriesSpec
+def noncentral_t_log_density_series(
+    t: float, nu: int, lam: float, series_spec: SeriesSpec = DEFAULT_SERIES
 ) -> float:
     """Noncentral t log density from its power-series representation.
+
+    An independent route to the density that log_density_noncentral takes
+    through its integral form; the two are checked against each other.
 
     f(t | nu, lam) = nu^(nu/2) e^(-lam^2/2) / (sqrt(pi) Gamma(nu/2) d^(nu+1))
                        * sum_j Gamma((nu+j+1)/2) / j! * (sqrt(2) lam t / d)^j
@@ -243,9 +247,10 @@ def _ncf_log_density(
     log_ratio = math.log(k / m) + log_f - math.log1p(k * f / m)
 
     def central(r: int) -> float:
+        power = 0.5 * k + r - 1.0  # f^0 = 1, also at f = 0
         return (
             (0.5 * k + r) * math.log(k / m)
-            + (0.5 * k + r - 1.0) * log_f
+            + (power * log_f if power else 0.0)
             - (0.5 * (k + m) + r) * math.log1p(k * f / m)
             - log_beta(0.5 * k + r, 0.5 * m)
         )
@@ -272,135 +277,42 @@ def log_density_noncentral(
     return _ncf_log_density(q.value, q.df1, q.df2, q.lam, series_spec)
 
 
-def noncentral_t_log_density_series(
-    t: float, nu: int, lam: float, series_spec: SeriesSpec = DEFAULT_SERIES
-) -> float:
-    """Independent series route for the noncentral t density (cross-check)."""
-    return _nct_log_density_series(t, nu, lam, series_spec)
+def _log_integral_shifted(log_integrand, ends, quad_spec: QuadratureSpec) -> float:
+    """ln of the sum over ends of the integral of exp(log_integrand) from 0 to end.
 
-
-def _log_integral_shifted(
-    log_integrand,
-    pieces: list[tuple[float, float]],
-    coarse: np.ndarray,
-    quad_spec: QuadratureSpec,
-) -> float:
-    """ln of the integral of exp(log_integrand) over the given finite pieces.
-
-    The integrand is rescaled by its maximum over the coarse grid so the
-    linear-space quadrature stays in range, and the grid argmax is handed to
-    the quadrature as a breakpoint so a sharp peak cannot fall between its
-    initial nodes. Callers choose pieces wide enough that the truncated tails
-    are negligible against their tolerances.
+    The integrand vanishes at 0 and is unimodal toward each end, so a
+    geometric scan from 0 finds its support: the scan keeps the running
+    maximum and stops once the integrand falls e^-745 below it, where exp
+    underflows anyway. The piece from 0 to that stop is integrated in units
+    of the scan's argmax, rescaled by the scan maximum, with the argmax as a
+    breakpoint so a sharp peak cannot fall between the initial quadrature
+    nodes; the units keep the integral near 1 whatever the support's width,
+    so the spec's absolute tolerance stays meaningful. Each end must lie past
+    the integrand's mass, and 1e-9 * end below its peak.
     """
-    values = [log_integrand(x) for x in coarse]
-    shift = max(values)
-    if shift == -math.inf:
-        return -math.inf
-    peak = float(coarse[values.index(shift)])
+    logs = []
+    for end in ends:
+        shift, peak, stop = -math.inf, end, end
+        for x in (end * _SCAN).tolist():
+            v = log_integrand(x)
+            if v > shift:
+                shift, peak = v, x
+            elif v < shift - 745.0:
+                stop = x
+                break
+        if shift == -math.inf:
+            raise IntegrationError(f"integrand is not finite anywhere on (0, {end!r})")
 
-    def f(x: float) -> float:
-        v = log_integrand(x) - shift
-        return math.exp(v) if v > -745.0 else 0.0
+        def f(u: float) -> float:
+            v = log_integrand(u * peak) - shift
+            return math.exp(v) if v > -745.0 else 0.0
 
-    total = sum(
-        integrate(f, lo, hi, quad_spec, breakpoints=[peak]) for lo, hi in pieces
-    )
-    if total <= 0.0:
-        raise IntegrationError("integral of a positive integrand came out <= 0")
-    return shift + math.log(total)
-
-
-def _log_bf_quadrature_z(
-    z: float, tau2: float, quad_spec: QuadratureSpec
-) -> float:
-    prior = NormalMomentPrior(0.0, tau2)
-    tau = math.sqrt(tau2)
-    log_null = log_density_null(Family.Z, z)
-
-    def log_integrand(lam: float) -> float:
-        d = z - lam
-        return -0.5 * LOG_2PI - 0.5 * d * d - log_null + nm_log_density(prior, lam)
-
-    span = abs(z) + 12.0 * (1.0 + tau)
-    coarse = np.linspace(-span, span, _COARSE_POINTS)
-    return _log_integral_shifted(
-        log_integrand, [(-span, 0.0), (0.0, span)], coarse, quad_spec
-    )
-
-
-def _log_bf_quadrature_t(
-    t: float, nu: int, tau2: float, quad_spec: QuadratureSpec
-) -> float:
-    """Quadrature Bayes factor for t, with the prior integral taken first.
-
-    Swapping the integration order inside the marginal likelihood and
-    cancelling the common constants of m1 and m0 leaves
-
-      BF = int_0^inf y^nu e^(-y^2/2) G(y) dy / (2^((nu-1)/2) Gamma((nu+1)/2)),
-      G(y) = int_R exp(y lam t / d - lam^2 / 2) j(lam | 0, tau2) dlam,
-
-    with d = sqrt(t^2 + nu). Both levels are rescaled by coarse-grid maxima
-    before quadrature.
-    """
-    prior = NormalMomentPrior(0.0, tau2)
-    tau = math.sqrt(tau2)
-    d = math.sqrt(t * t + nu)
-    tilt = t / d
-
-    def log_g(y: float) -> float:
-        def inner(lam: float) -> float:
-            return y * lam * tilt - 0.5 * lam * lam + nm_log_density(prior, lam)
-
-        center = y * tilt * tau2 / (1.0 + tau2)
-        span = abs(center) + 12.0 * (1.0 + tau)
-        coarse = np.linspace(-span, span, _COARSE_POINTS)
-        return _log_integral_shifted(
-            inner, [(-span, 0.0), (0.0, span)], coarse, quad_spec
-        )
-
-    def log_outer(y: float) -> float:
-        if y <= 0.0:
-            return -math.inf
-        return nu * math.log(y) - 0.5 * y * y + log_g(y)
-
-    # the tilt inflates the Gaussian factor's spread by at most
-    # 1/(1 - c) with c = (t^2/d^2) * tau2/(1+tau2) < 1, so the integrand
-    # beyond y_hi is far below any achievable tolerance
-    c = tilt * tilt * tau2 / (1.0 + tau2)
-    y_hi = 2.0 * math.sqrt(nu / (1.0 - c)) + 20.0
-    coarse = np.linspace(y_hi / _COARSE_POINTS, y_hi, _COARSE_POINTS)
-    log_numer = _log_integral_shifted(
-        log_outer, [(0.0, y_hi)], coarse, quad_spec
-    )
-    return log_numer - 0.5 * (nu - 1) * math.log(2.0) - log_gamma(0.5 * (nu + 1))
-
-
-def _log_bf_quadrature_gamma_prior(
-    stat: TestStatistic,
-    tau2: float,
-    quad_spec: QuadratureSpec,
-    series_spec: SeriesSpec,
-) -> float:
-    k = stat.df1
-    prior = GammaNCPPrior(k, tau2)
-    log_null = log_density_null(stat.family, stat.value, stat.df1, stat.df2)
-
-    def log_integrand(lam: float) -> float:
-        if lam <= 0.0:
-            return -math.inf
-        q = NoncentralDensityQuery(stat.family, stat.value, lam, stat.df1, stat.df2)
-        nc = log_density_noncentral(q, quad_spec, series_spec)
-        return nc - log_null + gamma_log_density(prior, lam)
-
-    # the prior factor alone is e^-20(k+2) down by this point, and the
-    # noncentral density decays in lam at fixed data
-    scale = stat.value if stat.family is Family.CHISQ else 3.0 * k * stat.value
-    lam_hi = 40.0 * (k + 2.0) * tau2 + 10.0 * scale + 50.0
-    coarse = np.linspace(lam_hi / _COARSE_POINTS, lam_hi, _COARSE_POINTS)
-    return _log_integral_shifted(
-        log_integrand, [(0.0, lam_hi)], coarse, quad_spec
-    )
+        total = integrate(f, 0.0, stop / peak, quad_spec, breakpoints=[1.0])
+        if total <= 0.0:
+            raise IntegrationError("integral of a positive integrand came out <= 0")
+        logs.append(shift + math.log(total * abs(peak)))
+    top = max(logs)
+    return top + math.log(sum(math.exp(v - top) for v in logs))
 
 
 def log_bf_quadrature(
@@ -409,18 +321,47 @@ def log_bf_quadrature(
     quad_spec: QuadratureSpec = DEFAULT_QUADRATURE,
     series_spec: SeriesSpec = DEFAULT_SERIES,
 ) -> float:
-    """ln BF10 recomputed by integrating the noncentral density against the prior.
+    """ln BF10 = ln of the integral of p(x | lam) / p(x | 0) * pi(lam) dlam.
 
-    The prior is J(0, tau2) on the mean shift for z and t statistics and
-    G(k/2 + 1, 1/(2 tau2)) on the non-centrality for chi-squared and F.
+    The prior pi is J(0, tau2) on the mean shift for z and t statistics,
+    integrated over both half-lines, and G(k/2 + 1, 1/(2 tau2)) on the
+    non-centrality for chi-squared and F, integrated over (0, inf).
     """
     if tau2 <= 0:
         raise ValueError(f"tau2 must be > 0, got {tau2}")
-    if stat.family is Family.Z:
-        return _log_bf_quadrature_z(stat.value, tau2, quad_spec)
-    if stat.family is Family.T:
-        return _log_bf_quadrature_t(stat.value, stat.df1, tau2, quad_spec)
-    return _log_bf_quadrature_gamma_prior(stat, tau2, quad_spec, series_spec)
+    family, x, df1, df2 = stat.family, stat.value, stat.df1, stat.df2
+    log_null = log_density_null(family, x, df1, df2)
+    if not math.isfinite(log_null):
+        raise IntegrationError(
+            f"likelihood ratio undefined: the null log density of the "
+            f"{family.value} statistic {x!r} is {log_null}"
+        )
+    if family in (Family.Z, Family.T):
+        prior, log_prior = NormalMomentPrior(0.0, tau2), nm_log_density
+        # the posterior's spread is at most the smaller of the prior's tau
+        # and the likelihood's, about 1 + |x|, and its centre is within
+        # about |x| min(1, tau2) of 0
+        span = 50.0 * (1.0 + abs(x)) * min(1.0, math.sqrt(tau2))
+        ends = (-span, span)
+    else:
+        prior, log_prior = GammaNCPPrior(df1, tau2), gamma_log_density
+        if math.isinf(prior.rate):
+            raise IntegrationError(f"gamma prior rate 1/(2 tau2) overflows at tau2 {tau2!r}")
+        # the prior factor alone is e^-20(k+2) down past 40(k+2) tau2; at
+        # fixed data the noncentral density decays like e^(-lam/2) for
+        # chi-squared and e^(-lam m / (2(m + k f))) for F
+        if family is Family.CHISQ:
+            like_end = 10.0 * x + 40.0 * (df1 + 2.0) + 50.0
+        else:
+            like_end = (10.0 * df1 * x + 40.0 * (df1 + 2.0) + 50.0) * (1.0 + df1 * x / df2)
+        ends = (min(40.0 * (df1 + 2.0) * tau2, like_end),)
+
+    def log_integrand(lam: float) -> float:
+        q = NoncentralDensityQuery(family, x, lam, df1, df2)
+        nc = log_density_noncentral(q, quad_spec, series_spec)
+        return nc - log_null + log_prior(prior, lam)
+
+    return _log_integral_shifted(log_integrand, ends, quad_spec)
 
 
 def log_marginal_mixture_chisq(h: float, k: int, tau2: float) -> float:

@@ -158,6 +158,35 @@ class TestSingleStudyCommands:
         assert match, out
         assert float(match.group(1)) <= 1e-8
 
+    def test_oracle_on_readme_chisq_example(self, capsys):
+        # the README command at its largest omegas, tau2 = 707 omega^2 up to 707
+        code, out, err = run_cli(
+            capsys, "chisq", "--stat", "12.65", "--df", "6", "--n", "707",
+            "--mapping", "multinomial", "--omega-min", "0.9", "--omega-max", "1.0",
+            "--steps", "3", "--oracle",
+        )
+        assert code == 0, err
+        match = re.search(r"oracle max \|dlog BF\| (\S+) over 3 grid points", out)
+        assert match, out
+        assert float(match.group(1)) <= 1e-9
+
+    def test_oracle_skips_an_omega_whose_tau2_underflows(self, capsys):
+        # n = 1 gives c = 0.5: omega 2.2e-162 has tau2 = 0, the point null
+        code, out, err = run_cli(
+            capsys, "z", "--stat", "2", "--n", "1", "--omega-max", "4.4e-162",
+            "--steps", "3", "--oracle",
+        )
+        assert code == 0, err
+        assert "oracle max |dlog BF|" in out
+
+    def test_oracle_on_zero_chisq_statistic_names_the_ratio(self, capsys):
+        code, out, err = run_cli(
+            capsys, "chisq", "--stat", "0", "--df", "4", "--n", "100",
+            "--mapping", "multinomial", "--steps", "5", "--oracle",
+        )
+        assert code == 1
+        assert "likelihood ratio undefined" in err
+
 
 class TestExitCodes:
     def test_missing_required_flag_is_usage_error(self, capsys):

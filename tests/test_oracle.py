@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from bff.bayes_factors import (
@@ -12,7 +13,7 @@ from bff.bayes_factors import (
     log_bf_chisq,
     log_bf_f,
 )
-from bff.numerics import QuadratureSpec, SeriesError, integrate
+from bff.numerics import IntegrationError, QuadratureSpec, SeriesError, integrate
 from bff.oracle import (
     NoncentralDensityQuery,
     log_bf_quadrature,
@@ -214,6 +215,99 @@ class TestQuadratureBayesFactors:
     def test_rejects_nonpositive_tau2(self):
         with pytest.raises(ValueError):
             log_bf_quadrature(TestStatistic(Family.Z, 2.0), 0.0)
+
+    @pytest.mark.parametrize("omega", [0.914, 0.962])
+    def test_readme_chisq_example_at_large_tau2(self, omega):
+        # the README multinomial example, n = 707: tau2 = 707 omega^2 is 590
+        # and 654, where the integrand's mass sits far below the prior's scale
+        stat = TestStatistic(Family.CHISQ, 12.65, df1=6)
+        tau2 = 707 * omega**2
+        assert math.isclose(
+            log_bf_quadrature(stat, tau2), log_bf(stat, tau2), rel_tol=1e-6, abs_tol=1e-9
+        )
+
+    @pytest.mark.parametrize(
+        "stat",
+        [
+            TestStatistic(Family.Z, 2.0),
+            TestStatistic(Family.T, -3.0, df1=4),
+            TestStatistic(Family.CHISQ, 12.65, df1=6),
+            TestStatistic(Family.F, 3.2, df1=3, df2=40),
+        ],
+        ids=["z", "t", "chisq", "f"],
+    )
+    @pytest.mark.parametrize("tau2", [1e-30, 1e-12, 1e12])
+    def test_extreme_tau2(self, stat, tau2):
+        # a small omega puts the integrand's mass near sqrt(tau2) or tau2, far
+        # below any fixed scan range; a large one spreads the prior far past
+        # the likelihood, which then bounds the mass
+        assert math.isclose(
+            log_bf_quadrature(stat, tau2), log_bf(stat, tau2), rel_tol=1e-6, abs_tol=1e-9
+        )
+
+    def test_gamma_prior_past_its_rate_is_a_compute_error(self):
+        # a subnormal tau2 (omega 1e-161 at n = 1) has rate 1/(2 tau2) = inf
+        with pytest.raises(IntegrationError, match="rate"):
+            log_bf_quadrature(TestStatistic(Family.CHISQ, 5.0, df1=3), 1e-322)
+
+    @pytest.mark.parametrize(
+        "stat",
+        [
+            TestStatistic(Family.CHISQ, 0.0, df1=4),
+            TestStatistic(Family.CHISQ, 0.0, df1=1),
+            TestStatistic(Family.F, 0.0, df1=4, df2=30),
+        ],
+        ids=["chisq-4", "chisq-1", "f-4"],
+    )
+    def test_zero_statistic_with_undefined_likelihood_ratio(self, stat):
+        # the null density at 0 is 0 or infinite, so p(x|lam)/p(x|0) is undefined
+        with pytest.raises(IntegrationError, match="likelihood ratio undefined"):
+            log_bf_quadrature(stat, 1.0)
+
+    def test_zero_f_statistic_with_two_numerator_df(self):
+        # f^0 = 1 at f = 0: the F(2, m) density is finite there, and the
+        # noncentral one is e^(-lam/2) times it
+        q = NoncentralDensityQuery(Family.F, 0.0, 3.0, df1=2, df2=30)
+        assert math.isclose(
+            log_density_noncentral(q),
+            -1.5 + log_density_null(Family.F, 0.0, 2, 30),
+            rel_tol=1e-14,
+            abs_tol=1e-14,
+        )
+        stat = TestStatistic(Family.F, 0.0, df1=2, df2=30)
+        assert math.isclose(
+            log_bf_quadrature(stat, 2.0), log_bf(stat, 2.0), rel_tol=1e-6, abs_tol=1e-9
+        )
+
+
+@st.composite
+def wide_statistics(draw):
+    family = draw(st.sampled_from(list(Family)))
+    if family is Family.Z:
+        return TestStatistic(family, draw(st.floats(-10.0, 10.0)))
+    if family is Family.T:
+        return TestStatistic(family, draw(st.floats(-10.0, 10.0)), df1=draw(st.integers(1, 200)))
+    if family is Family.CHISQ:
+        h = draw(st.floats(0.0, 60.0, exclude_min=True))
+        return TestStatistic(family, h, df1=draw(st.integers(1, 20)))
+    f = draw(st.floats(0.0, 20.0, exclude_min=True))
+    return TestStatistic(family, f, df1=draw(st.integers(1, 10)), df2=draw(st.integers(1, 500)))
+
+
+class TestClosedFormAgainstOracle:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(wide_statistics(), st.floats(-3.0, 3.0))
+    # the ends of the tau2 range, where fixed coarse grids once missed the
+    # integrand's peak: IntegrationError for t, OverflowError and SeriesError
+    # for chi-squared and F
+    @example(TestStatistic(Family.T, 2.0, df1=5), 3.0)
+    @example(TestStatistic(Family.CHISQ, 20.0, df1=4), -3.0)
+    @example(TestStatistic(Family.F, 3.0, df1=3, df2=40), 3.0)
+    def test_agree_over_wide_inputs(self, stat, log10_tau2):
+        tau2 = 10.0**log10_tau2
+        assert math.isclose(
+            log_bf_quadrature(stat, tau2), log_bf(stat, tau2), rel_tol=1e-6, abs_tol=1e-9
+        )
 
 
 class TestMixtureMarginals:
