@@ -12,7 +12,9 @@ Every form takes numpy arrays and broadcasts them, so one implementation
 serves a single point and a whole grid: a call with scalar arguments returns
 a float, a call with an array returns an array. ln BF10 is the authoritative
 value; `linear_bf` turns it into BF10 and saturates to inf where the Bayes
-factor exceeds the largest double.
+factor exceeds the largest double. Where ln BF10 lies past the largest double
+(degrees of freedom near it), a form returns +-inf, or nan where the F df terms
+overflow both ways, with no numpy warning; a curve names it not finite.
 """
 
 from __future__ import annotations
@@ -33,6 +35,10 @@ class Family(Enum):
     F = "f"
 
 
+# the degrees of freedom each family carries, in its form's argument order
+DF_FIELDS = {Family.Z: (), Family.T: ("df1",), Family.CHISQ: ("df1",), Family.F: ("df1", "df2")}
+
+
 @dataclass(frozen=True)
 class TestStatistic:
     """A reported test statistic tagged with its family and degrees of freedom.
@@ -48,28 +54,20 @@ class TestStatistic:
     def __post_init__(self) -> None:
         if isinstance(self.value, bool) or not math.isfinite(self.value):
             raise ValueError(f"statistic value must be a finite number, got {self.value!r}")
-        if self.family is Family.Z:
-            if self.df1 is not None or self.df2 is not None:
-                raise ValueError("z statistics carry no degrees of freedom")
-        elif self.family is Family.T:
-            if self.df1 is None or self.df1 < 1:
-                raise ValueError(f"t statistics need df1 >= 1, got {self.df1}")
-            if self.df2 is not None:
-                raise ValueError("t statistics carry no denominator df")
-        elif self.family is Family.CHISQ:
-            if self.df1 is None or self.df1 < 1:
-                raise ValueError(f"chi-squared statistics need df1 >= 1, got {self.df1}")
-            if self.df2 is not None:
-                raise ValueError("chi-squared statistics carry no denominator df")
-            if self.value < 0:
-                raise ValueError(f"chi-squared statistic must be >= 0, got {self.value}")
-        elif self.family is Family.F:
-            if self.df1 is None or self.df1 < 1:
-                raise ValueError(f"F statistics need df1 >= 1, got {self.df1}")
-            if self.df2 is None or self.df2 < 1:
-                raise ValueError(f"F statistics need df2 >= 1, got {self.df2}")
-            if self.value < 0:
-                raise ValueError(f"F statistic must be >= 0, got {self.value}")
+        name, carried = self.family.value, DF_FIELDS[self.family]
+        for field in ("df1", "df2"):
+            df = getattr(self, field)
+            if field in carried and (df is None or df < 1):
+                raise ValueError(f"{name} statistics need {field} >= 1, got {df}")
+            if field not in carried and df is not None:
+                raise ValueError(f"{name} statistics carry no {field}")
+        if self.family in (Family.CHISQ, Family.F) and self.value < 0:
+            raise ValueError(f"{name} statistic must be >= 0, got {self.value}")
+
+
+def form_args(stat: TestStatistic) -> tuple:
+    """stat's value and degrees of freedom, as its family's form takes them before tau2."""
+    return (stat.value, *(getattr(stat, field) for field in DF_FIELDS[stat.family]))
 
 
 @dataclass(frozen=True)
@@ -104,12 +102,25 @@ def _check_tau2(tau2) -> None:
         raise ValueError(f"tau2 must be > 0, got {np.min(tau2)}")
 
 
+def _finite_or(w, fallback, *args):
+    """w with only its non-finite entries recomputed, as fallback(*args) at each of them."""
+    if np.isfinite(w).all():
+        return w
+    bad = ~np.isfinite(w)
+    w = np.array(w, dtype=float)
+    w[bad] = fallback(*(np.broadcast_to(a, w.shape)[bad] for a in args))
+    return w
+
+
+def _shrunk(x, tau2):
+    """x tau2 / (tau2 + 1), without the product x tau2 that overflows near the largest tau2."""
+    return x * (tau2 / (tau2 + 1.0))
+
+
 def _z(z, tau2):
-    with np.errstate(over="ignore"):  # near the largest tau2, tau2 z^2 overflows but w does not
-        w = tau2 * z * z / (tau2 + 1.0)
-        if not np.isfinite(w).all():
-            w = np.where(np.isfinite(w), w, z * z * (tau2 / (tau2 + 1.0)))
-    return -1.5 * np.log1p(tau2) + np.log1p(w) + 0.5 * w
+    with np.errstate(over="ignore"):
+        w = _finite_or(tau2 * z * z / (tau2 + 1.0), _shrunk, z * z, tau2)
+        return -1.5 * np.log1p(tau2) + np.log1p(w) + 0.5 * w
 
 
 def _tf_terms(x, lp, tau2, c, half_df):
@@ -120,31 +131,38 @@ def _tf_terms(x, lp, tau2, c, half_df):
     g = tau2 b/(1 + b), so the terms are half_df ln(1 + g) + ln(1 + c g).
     g is formed as tau2 / (1 + e^(lp - x)) in log space: it never exceeds
     tau2, whatever the size of the statistic, and no difference cancels.
+    Where c g overflows, ln(1 + c g) = ln c + ln g to within 1/(c g).
     """
     g = tau2 * np.exp(-np.logaddexp(0.0, lp - x))
-    return half_df * np.log1p(g) + np.log1p(c * g)
+    lcg = _finite_or(np.log1p(c * g), lambda c, g: np.log(c) + np.log(g), c, g)
+    return half_df * np.log1p(g) + lcg
 
 
 def _t(t, nu, tau2):
     lp = np.log1p(tau2)
-    with np.errstate(divide="ignore"):  # ln 0 = -inf at t = 0 is exact
+    with np.errstate(divide="ignore", over="ignore"):  # ln 0 = -inf at t = 0 is exact
         x = 2.0 * np.log(np.abs(t)) - np.log(nu)
-    return -1.5 * lp + _tf_terms(x, lp, tau2, nu + 1.0, 0.5 * (nu + 1.0))
+        return -1.5 * lp + _tf_terms(x, lp, tau2, nu + 1.0, 0.5 * (nu + 1.0))
 
 
 def _chisq(h, k, tau2):
-    u = tau2 * h / (tau2 + 1.0)
-    return -(0.5 * k + 1.0) * np.log1p(tau2) + np.log1p(u / k) + 0.5 * u
+    with np.errstate(over="ignore"):
+        u = _finite_or(tau2 * h / (tau2 + 1.0), _shrunk, h, tau2)
+        return -(0.5 * k + 1.0) * np.log1p(tau2) + np.log1p(u / k) + 0.5 * u
 
 
 def _f(f, k, m, tau2):
-    lp = np.log1p(tau2)
-    with np.errstate(divide="ignore"):  # ln 0 = -inf at f = 0 is exact
+    lp, half_k = np.log1p(tau2), 0.5 * k
+    half_df = half_k + 0.5 * m  # 0.5 (k + m) without k + m, which can overflow
+    # ln 0 = -inf at f = 0 is exact; the two df terms past the largest double give nan
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         x = np.log(f) + np.log(k / m)
-    return -(0.5 * k + 1.0) * lp + _tf_terms(x, lp, tau2, (k + m) / k, 0.5 * (k + m))
+        return -(half_k + 1.0) * lp + _tf_terms(x, lp, tau2, half_df / half_k, half_df)
 
 
-# each form's kernel: the public form without its argument checks
+# each form's kernel: the public form without its argument checks. Each runs in one
+# errstate that ignores overflow: _finite_or replaces the products that may overflow,
+# and a term past the largest double is +-inf.
 KERNELS = {Family.Z: _z, Family.T: _t, Family.CHISQ: _chisq, Family.F: _f}
 
 
@@ -182,19 +200,17 @@ def log_bf_f(f, k, m, tau2):
     return _result(_f(f, k, m, tau2))
 
 
+# each family's public form, which checks its arguments
+FORMS = {Family.Z: log_bf_z, Family.T: log_bf_t, Family.CHISQ: log_bf_chisq, Family.F: log_bf_f}
+
+
 def log_bf(stat: TestStatistic, tau2):
     """Dispatch to the closed form matching stat.family.
 
     stat may also be any object with TestStatistic's four fields whose value,
     df1 and df2 are arrays: the forms broadcast them against tau2.
     """
-    if stat.family is Family.Z:
-        return log_bf_z(stat.value, tau2)
-    if stat.family is Family.T:
-        return log_bf_t(stat.value, stat.df1, tau2)
-    if stat.family is Family.CHISQ:
-        return log_bf_chisq(stat.value, stat.df1, tau2)
-    return log_bf_f(stat.value, stat.df1, stat.df2, tau2)
+    return FORMS[stat.family](*form_args(stat), tau2)
 
 
 def posterior_odds(bf: OddsValue, prior_odds: float) -> float:

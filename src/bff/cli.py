@@ -2,6 +2,7 @@
 
 Subcommands z, t, chisq, and f evaluate a single study's BFF; combine reads a
 JSON study file and multiplies the per-study Bayes factors on a shared grid.
+Every run is a combine: a statistic command's study is a study list of one.
 Exit codes: 0 success, 1 compute failure (quadrature or series breakdown,
 or a curve that is not finite), 2 usage or study-file error, including any
 non-finite number in the input.
@@ -15,8 +16,10 @@ import math
 import sys
 
 from .bayes_factors import Family, TestStatistic, linear_bf
-from .curves import BFFCurve, EffectGrid, Study, combine, evaluate_bff
-from .effect_sizes import Design, EffectSize, StudyDesign, tau2_for
+from .curves import BFFCurve, EffectGrid, Study, combine
+from .effect_sizes import (
+    VECTOR_DESIGNS, Design, EffectSize, StudyDesign, statistic_family_for, tau2_for
+)
 from .exports import CurveExport, build_export, emit, render
 
 
@@ -29,9 +32,15 @@ _FAMILY_TAGS = {f.value: f for f in Family}
 
 _STUDY_FIELDS = {"family", "value", "df1", "df2", "design", "n", "n1", "n2", "k", "label"}
 
-_CHISQ_MAPPINGS = {
-    "multinomial": Design.MULTINOMIAL_CHISQ,
-    "lrt": Design.LIKELIHOOD_RATIO_CHISQ,
+# each statistic command's design by (command, two-sample); chisq's is named by --mapping
+_DESIGNS = {
+    ("z", False): Design.ONE_SAMPLE_Z,
+    ("z", True): Design.TWO_SAMPLE_Z,
+    ("t", False): Design.ONE_SAMPLE_T,
+    ("t", True): Design.TWO_SAMPLE_T,
+    ("multinomial", False): Design.MULTINOMIAL_CHISQ,
+    ("lrt", False): Design.LIKELIHOOD_RATIO_CHISQ,
+    ("f", False): Design.LINEAR_MODEL_F,
 }
 
 
@@ -76,19 +85,19 @@ def build_parser() -> argparse.ArgumentParser:
     single.add_argument("--n1", type=_positive_int("n1"), default=None, help="group 1 size")
     single.add_argument("--n2", type=_positive_int("n2"), default=None, help="group 2 size")
     single.add_argument("--label", default="", help="curve label for SVG output")
+    single.set_defaults(df1=None, df2=None, mapping=None, per_study=False)
 
-    pz = sub.add_parser("z", parents=[single], help="BFF for a z statistic")
+    sub.add_parser("z", parents=[single], help="BFF for a z statistic")
     pt = sub.add_parser("t", parents=[single], help="BFF for a t statistic")
-    pt.add_argument("--df", type=_positive_int("df"), required=True, help="degrees of freedom")
     pc = sub.add_parser("chisq", parents=[single], help="BFF for a chi-squared statistic")
-    pc.add_argument("--df", type=_positive_int("df"), required=True, help="degrees of freedom")
-    pc.add_argument("--mapping", choices=sorted(_CHISQ_MAPPINGS), required=True,
+    for p in (pt, pc):
+        p.add_argument("--df", dest="df1", metavar="DF", type=_positive_int("df"), required=True,
+                       help="degrees of freedom")
+    pc.add_argument("--mapping", choices=["lrt", "multinomial"], required=True,
                     help="how the statistic arose, which fixes the tau2 rule")
     pf = sub.add_parser("f", parents=[single], help="BFF for an F statistic")
     pf.add_argument("--df1", type=_positive_int("df1"), required=True, help="numerator df")
     pf.add_argument("--df2", type=_positive_int("df2"), required=True, help="denominator df")
-    pf.add_argument("--mapping", choices=["linear"], default="linear",
-                    help="tau2 rule (linear model)")
 
     pcomb = sub.add_parser("combine", parents=[common],
                            help="multiply BFFs across studies in a study file")
@@ -98,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _grid_from_args(args, base: EffectGrid | None = None) -> EffectGrid:
+def _grid_from_args(args, base: EffectGrid | None) -> EffectGrid:
     base = base or EffectGrid()
     return EffectGrid(
         min=args.omega_min if args.omega_min is not None else base.min,
@@ -107,40 +116,19 @@ def _grid_from_args(args, base: EffectGrid | None = None) -> EffectGrid:
     )
 
 
-def _design_for_args(args, command: str) -> StudyDesign:
+def _study_from_args(args) -> Study:
     two_sample = args.n1 is not None or args.n2 is not None
     if two_sample and (args.n1 is None or args.n2 is None):
         raise ValueError("two-sample designs need both --n1 and --n2")
     if two_sample and args.n is not None:
         raise ValueError("give either --n or --n1/--n2, not both")
-    if command == "z":
-        if two_sample:
-            return StudyDesign(Design.TWO_SAMPLE_Z, n1=args.n1, n2=args.n2)
-        return StudyDesign(Design.ONE_SAMPLE_Z, n=args.n)
-    if command == "t":
-        if two_sample:
-            return StudyDesign(Design.TWO_SAMPLE_T, n1=args.n1, n2=args.n2)
-        return StudyDesign(Design.ONE_SAMPLE_T, n=args.n)
-    if command == "chisq":
-        if two_sample:
-            raise ValueError("chisq designs use --n, not --n1/--n2")
-        return StudyDesign(_CHISQ_MAPPINGS[args.mapping], n=args.n, k=args.df)
-    if two_sample:
-        raise ValueError("f designs use --n, not --n1/--n2")
-    return StudyDesign(Design.LINEAR_MODEL_F, n=args.n, k=args.df1)
-
-
-def _study_from_args(args, command: str) -> Study:
-    design = _design_for_args(args, command)
-    if command == "z":
-        stat = TestStatistic(Family.Z, args.stat)
-    elif command == "t":
-        stat = TestStatistic(Family.T, args.stat, df1=args.df)
-    elif command == "chisq":
-        stat = TestStatistic(Family.CHISQ, args.stat, df1=args.df)
-    else:
-        stat = TestStatistic(Family.F, args.stat, df1=args.df1, df2=args.df2)
-    return Study(statistic=stat, design=design, label=args.label or command)
+    kind = _DESIGNS.get((args.mapping or args.command, two_sample))
+    if kind is None:
+        raise ValueError(f"{args.command} designs use --n, not --n1/--n2")
+    k = args.df1 if kind in VECTOR_DESIGNS else None
+    design = StudyDesign(kind, n=args.n, n1=args.n1, n2=args.n2, k=k)
+    stat = TestStatistic(statistic_family_for(design), args.stat, df1=args.df1, df2=args.df2)
+    return Study(statistic=stat, design=design, label=args.label or args.command)
 
 
 def parse_study_file(text: str) -> tuple[list[Study], EffectGrid | None]:
@@ -283,26 +271,21 @@ def _thresholds_from_args(args) -> tuple[float, ...]:
     return tuple(args.threshold)
 
 
-def _run_single(args) -> int:
-    study = _study_from_args(args, args.command)
-    grid = _grid_from_args(args)
-    curve = evaluate_bff(study, grid)
-    export = build_export(curve, thresholds=_thresholds_from_args(args))
-    _deliver(export, args)
-    if args.oracle:
-        _oracle_report([study], curve)
-    return 0
-
-
-def _run_combine(args) -> int:
+def _studies_from_args(args) -> tuple[list[Study], EffectGrid | None]:
+    """The study list and the study file's grid: a statistic command's study alone, no grid."""
+    if args.command != "combine":
+        return [_study_from_args(args)], None
     try:
         with open(args.studies, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as e:
         raise StudyFileError(f"cannot read study file: {e}") from e
-    studies, file_grid = parse_study_file(text)
-    designs = {s.design.design for s in studies}
-    if len(designs) > 1:
+    return parse_study_file(text)
+
+
+def _run(args) -> int:
+    studies, file_grid = _studies_from_args(args)
+    if len({s.design.design for s in studies}) > 1:
         print(
             "warning: combining across different designs assumes a comparable "
             "effect size omega in every study",
@@ -310,12 +293,8 @@ def _run_combine(args) -> int:
         )
     grid = _grid_from_args(args, file_grid)
     curve = combine(studies, grid)
-    per_study = (
-        tuple(evaluate_bff(s, grid) for s in studies) if args.per_study else ()
-    )
-    export = build_export(
-        curve, thresholds=_thresholds_from_args(args), per_study=per_study
-    )
+    per_study = tuple(combine((s,), grid) for s in studies) if args.per_study else ()
+    export = build_export(curve, thresholds=_thresholds_from_args(args), per_study=per_study)
     _deliver(export, args)
     if args.oracle:
         _oracle_report(studies, curve)
@@ -323,12 +302,9 @@ def _run_combine(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "combine":
-            return _run_combine(args)
-        return _run_single(args)
+        return _run(args)
     except (StudyFileError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bayes_factors import KERNELS, Family, TestStatistic
+from .bayes_factors import KERNELS, Family, TestStatistic, form_args
 from .effect_sizes import StudyDesign, statistic_family_for, tau2_scale
 
 _REFINE_TOL = 1e-6
@@ -65,16 +65,10 @@ class _StudySum:
         for s in studies:
             groups.setdefault(s.statistic.family, []).append(s)
 
-        def column(xs):
-            return None if xs[0] is None else np.array(xs, dtype=float)[:, None]
-
         self._groups = []
         for family, members in groups.items():
-            value, df1, df2 = (
-                column([getattr(s.statistic, f) for s in members]) for f in ("value", "df1", "df2")
-            )
-            data = tuple(x for x in (value, df1, df2) if x is not None)
-            scale = column([tau2_scale(s.design) for s in members])
+            rows = ((*form_args(s.statistic), tau2_scale(s.design)) for s in members)
+            *data, scale = (np.array(xs, dtype=float)[:, None] for xs in zip(*rows))
             self._groups.append((KERNELS[family], data, scale))
         # the largest omega with every c * omega^2 finite; c below 1 counts as 1,
         # which keeps omega^2 itself finite
@@ -155,15 +149,15 @@ def _refine(
 ) -> tuple[tuple[float, float] | None, list[tuple[float, ...]]]:
     """The refined argmax and maximum of fn, and its crossings of each threshold.
 
-    One k-section loop refines every bracket to at most 1e-6 wide; each round
-    evaluates all of them in one call to fn, and no bracket sees another's
-    points. The maximum's bracket spans the neighbours of the
-    best grid point; each round samples its ends and _K points between them
-    and keeps the neighbours of the best one. The result is never below the
-    best grid value, so a monotone curve keeps its boundary argmax. Crossings
-    are bracketed by adjacent grid points where fn - threshold changes sign
-    strictly, so a grid point on the threshold (notably omega = 0, where every
-    curve starts at ln BF = 0) is not one. Each round samples _K interior
+    One k-section loop refines every bracket to at most 1e-6 wide, or until a
+    round does not narrow it; each round evaluates all of them in one call to
+    fn, and no bracket sees another's points. The maximum's bracket spans the
+    neighbours of the best grid point; each round samples its ends and _K
+    points between them and keeps the neighbours of the best one. The result
+    is never below the best grid value, so a monotone curve keeps its boundary
+    argmax. Crossings are bracketed by adjacent grid points where
+    fn - threshold changes sign strictly, so a grid point on the threshold
+    (notably omega = 0, where every curve starts at ln BF = 0) is not one. Each round samples _K interior
     points and keeps the first sub-interval whose sign changes; a sample
     exactly on the threshold closes its bracket there.
     """
@@ -179,10 +173,12 @@ def _refine(
         best = int(np.argmax(log_bfs))
         a = omegas[max(best - 1, 0)]
         b = omegas[min(best + 1, len(omegas) - 1)]
+    # far from 0, adjacent doubles can lie more than 1e-6 apart
+    last, refining = np.full(len(start), np.inf), maximum
     while True:
         width = hi - lo
-        open_ = width > _REFINE_TOL
-        refining = maximum and b - a > _REFINE_TOL
+        open_, last = (width > _REFINE_TOL) & (width < last), width
+        refining = refining and b - a > _REFINE_TOL
         if not (refining or open_.any()):
             break
         xs = a + (b - a) * _SPREAD if refining else _SPREAD[:0]
@@ -192,7 +188,8 @@ def _refine(
         values = fn(np.concatenate([xs, ends[:, 1:-1].ravel()]))
         if refining:
             j = int(np.argmax(values[: _K + 2]))
-            a, b = xs[max(j - 1, 0)], xs[min(j + 1, _K + 1)]
+            a, b, span = xs[max(j - 1, 0)], xs[min(j + 1, _K + 1)], b - a
+            refining = b - a < span
         if lo.size:
             np.multiply(values[xs.size :].reshape(-1, _K) - level, side, out=h[:, :-1])
             j = (h <= 0).argmax(axis=1)  # the first sample on the threshold or across it, else hi

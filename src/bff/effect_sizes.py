@@ -31,7 +31,7 @@ class Design(Enum):
 
 
 _TWO_SAMPLE = {Design.TWO_SAMPLE_Z, Design.TWO_SAMPLE_T}
-_VECTOR = {
+VECTOR_DESIGNS = {
     Design.MULTINOMIAL_CHISQ,
     Design.LIKELIHOOD_RATIO_CHISQ,
     Design.LINEAR_MODEL_F,
@@ -72,7 +72,7 @@ class StudyDesign:
         else:
             if self.n is None or self.n < 1:
                 raise ValueError(f"{self.design.value} requires total sample size n >= 1")
-        if self.design in _VECTOR and (self.k is None or self.k < 1):
+        if self.design in VECTOR_DESIGNS and (self.k is None or self.k < 1):
             raise ValueError(f"{self.design.value} requires effect dimension k >= 1")
 
 

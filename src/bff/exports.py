@@ -97,11 +97,14 @@ class ThresholdCrossings:
 
 @dataclass(frozen=True)
 class ExportSummary:
-    max_bf10: float
     max_log_bf10: float
     argmax_omega: float
     crossings_bf1: tuple[float, ...]
     thresholds: tuple[ThresholdCrossings, ...] = ()
+
+    @property
+    def max_bf10(self) -> float:
+        return linear_bf(self.max_log_bf10)
 
 
 @dataclass(frozen=True)
@@ -131,7 +134,6 @@ def build_export(
     crossings = threshold_crossings(curve, [math.log(t) for t in thresholds])
     threshold_blocks = tuple(map(ThresholdCrossings, thresholds, crossings))
     summary = ExportSummary(
-        max_bf10=linear_bf(curve.max_log_bf),
         max_log_bf10=curve.max_log_bf,
         argmax_omega=curve.argmax_omega,
         crossings_bf1=curve.crossings,
@@ -172,7 +174,8 @@ def render_csv(export: CurveExport) -> str:
 def parse_csv(text: str) -> CurveExport:
     """Inverse of render_csv; parse(render(x)) re-renders byte-identically.
 
-    A row whose bf10 or zone disagrees with omega and log_bf10 is a ValueError.
+    A row whose bf10 or zone disagrees with omega and log_bf10, or a max_bf10
+    that disagrees with max_log_bf10, is a ValueError.
     """
     lines = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line]
     data = [(n, line) for n, line in lines if not line.startswith("#")]
@@ -213,12 +216,13 @@ def parse_csv(text: str) -> CurveExport:
     if missing:
         raise ValueError(f"summary comments missing {sorted(missing)}")
     summary = ExportSummary(
-        max_bf10=fields["max_bf10"],
         max_log_bf10=fields["max_log_bf10"],
         argmax_omega=fields["argmax_omega"],
         crossings_bf1=crossings,
         thresholds=tuple(thresholds),
     )
+    if fields["max_bf10"] != summary.max_bf10:
+        raise ValueError(f"# max_bf10 {_fmt(fields['max_bf10'])} disagrees with max_log_bf10")
     return CurveExport(rows=rows, summary=summary)
 
 

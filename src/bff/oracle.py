@@ -227,6 +227,8 @@ def _ncx2_log_density(
     def central(i: int) -> float:
         return _gamma_logpdf(h, 0.5 * (k + 2 * i), 0.5)
 
+    if h == 0.0:  # every central density past the first is 0 there
+        return -0.5 * lam + central(0)
     mode_hint = int(max(0.5 * lam, 0.5 * math.sqrt(lam * h)))
     return _poisson_series_log_density(lam, central, mode_hint, series_spec)
 

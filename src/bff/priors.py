@@ -58,12 +58,8 @@ def nm_log_density(p: NormalMomentPrior, x: float) -> float:
     d = x - p.mu0
     if d == 0.0:
         return -math.inf
-    return (
-        2.0 * math.log(abs(d))
-        - 0.5 * LOG_2PI
-        - 1.5 * math.log(p.tau2)
-        - d * d / (2.0 * p.tau2)
-    )
+    r = d / math.sqrt(p.tau2)  # d * d / tau2 loses precision where tau2 is subnormal
+    return 2.0 * math.log(abs(d)) - 0.5 * LOG_2PI - 1.5 * math.log(p.tau2) - 0.5 * r * r
 
 
 def nm_modes(p: NormalMomentPrior) -> tuple[float, float]:

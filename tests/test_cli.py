@@ -1,14 +1,19 @@
 """End-to-end tests of the command line interface."""
 
+import io
 import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
+import warnings
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import bff.cli as cli
 import bff.oracle
@@ -45,6 +50,34 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@contextmanager
+def alarm(seconds):
+    """Raise TimeoutError in the block once it runs past seconds; a hang cannot pass."""
+
+    def hung(signum, frame):
+        raise TimeoutError(f"ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def run_guarded(argv, seconds=10):
+    """cli.main(argv) under an alarm, with every warning an error: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings(), alarm(seconds):
+        warnings.simplefilter("error")
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as e:  # argparse's usage errors
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def write_meta(tmp_path, doc=F_META, name="studies.json"):
@@ -224,7 +257,7 @@ class TestExitCodes:
         def boom(study, grid):
             raise IntegrationError("synthetic failure")
 
-        monkeypatch.setattr(cli, "evaluate_bff", boom)
+        monkeypatch.setattr(cli, "combine", boom)
         code, out, err = run_cli(capsys, "z", "--stat", "2", "--n", "100")
         assert code == 1
         assert "compute error: synthetic failure" in err
@@ -519,3 +552,106 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == [[], []]
+
+
+class TestExtremeInputs:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # a crossing near 1e65, where adjacent doubles lie far more than 1e-6 apart
+            "z --stat 30 --n 2 --omega-min 1e64 --omega-max 1e66 --steps 5",
+            "t --stat 1e300 --df 30 --n 1 --omega-max 1e12",
+            "f --stat 1e200 --df1 2 --df2 40 --n 1 --omega-max 1e12 --steps 2",
+            "z --stat=-1e12 --n 1 --omega-max 1e100 --steps 3",
+        ],
+    )
+    def test_refinement_ends_far_from_zero(self, argv):
+        code, out, err = run_guarded(argv.split())
+        assert code == 0, err
+        assert out.startswith("max BF ")
+
+    def test_chisq_kernel_near_the_largest_tau2(self):
+        # tau2 h overflows, h tau2 / (tau2 + 1) does not
+        argv = "chisq --stat 100 --df 2 --n 1 --mapping lrt --omega-max 1.3e154 --steps 3"
+        code, out, err = run_guarded(argv.split())
+        assert code == 0, err
+        last = parse_csv(out.split("\n\n", 1)[1]).rows[-1]
+        # the closed form evaluated in 50-digit arithmetic
+        assert last.log_bf10 == pytest.approx(-1365.5100487094778, rel=1e-12)
+
+    def test_oracle_at_subnormal_tau2(self):
+        # tau2 = omega^2 / 2 is about 1e-323 at the top of the grid
+        argv = "z --stat 2 --n 1 --omega-max 4.4e-162 --steps 3 --oracle"
+        code, out, err = run_guarded(argv.split(), seconds=60)
+        assert code == 0, err
+        worst = float(re.search(r"oracle max \|dlog BF\| (\S+)", out).group(1))
+        assert worst <= 1e-9
+
+    def test_huge_z_is_a_named_compute_error(self):
+        # z^2 overflows; ln BF10 is infinite for every tau2 > 0 and exactly 0 at tau2 = 0
+        code, out, err = run_guarded("z --stat 1e200 --n 100 --steps 5".split())
+        assert code == 1
+        assert "not finite" in err
+
+    def test_t_kernel_where_c_g_overflows(self):
+        argv = ("t --stat 3.7e204 --df 1000000000 --n1 100 --n2 100 --omega-max 1.8e153"
+                " --steps 3")
+        code, out, err = run_guarded(argv.split())
+        assert code == 0, err
+        last = parse_csv(out.split("\n\n", 1)[1]).rows[-1]
+        # the closed form evaluated in 50-digit arithmetic
+        assert last.log_bf10 == pytest.approx(354492743826.14847, rel=1e-12)
+
+
+def _text(x) -> str:
+    return repr(x) if isinstance(x, float) else str(x)
+
+
+# magnitudes from 1e-320 (subnormal) to 1.7e308, mostly positive, and the specials
+MAGNITUDES = st.floats(-320.0, math.log10(1.7e308)).map(lambda e: 10.0**e)
+NUMBERS = st.one_of(
+    MAGNITUDES,
+    st.floats(0.0, 10.0),
+    MAGNITUDES.map(lambda x: -x),
+    st.sampled_from((0.0, -0.0, math.nan, math.inf, -math.inf)),
+)
+COUNTS = st.one_of(st.integers(-2, 50), MAGNITUDES.map(lambda x: max(int(x), 1)))
+SIZE_FLAGS = (("--n",), ("--n1", "--n2"), ("--n1",), ("--n", "--n1", "--n2"), ())
+
+
+@st.composite
+def statistic_argvs(draw):
+    """argv for one statistic command over every documented flag but --oracle and --out."""
+    command = draw(st.sampled_from(("z", "t", "chisq", "f")))
+    flags = {"--stat": draw(NUMBERS)}
+    two_sample = SIZE_FLAGS[:2] if command in ("z", "t") else SIZE_FLAGS[:1]
+    for name in draw(st.sampled_from(two_sample) | st.sampled_from(SIZE_FLAGS)):
+        flags[name] = draw(COUNTS)
+    dfs = {"t": ("--df",), "chisq": ("--df",), "f": ("--df1", "--df2")}.get(command, ())
+    for name in dfs:
+        flags[name] = draw(COUNTS)
+    if command == "chisq":
+        flags["--mapping"] = draw(st.sampled_from(("multinomial", "lrt")))
+    for name in ("--omega-min", "--omega-max", "--threshold"):
+        if draw(st.booleans()):
+            flags[name] = draw(NUMBERS)
+    if draw(st.booleans()):
+        flags["--steps"] = draw(st.integers(-1, 2000))
+    # --flag=value keeps a negative value from reading as a flag
+    return [command] + [f"{name}={_text(value)}" for name, value in flags.items()]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(statistic_argvs())
+@example(["t", "--stat=3.7e204", "--df=1000000000", "--n1=100", "--n2=100",
+          "--omega-max=1.8e153", "--steps=3"])
+# degrees of freedom near the largest double: ln BF10 lies past it
+@example(["f", "--stat=0.0", "--n=44", f"--df1={10**308}", f"--df2={10**308}"])
+def test_every_argv_ends_in_output_or_a_named_error(argv):
+    code, out, err = run_guarded(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 0:
+        assert "nan" not in out
+        text = out.split("\n\n", 1)[1]
+        assert render_csv(parse_csv(text)) == text

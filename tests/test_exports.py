@@ -221,6 +221,12 @@ class TestCsv:
         with pytest.raises(ValueError, match="line 2"):
             parse_csv(text)
 
+    def test_rejects_max_bf10_that_is_not_exp_of_max_log_bf10(self):
+        text = render_csv(z_export())
+        line = next(l for l in text.splitlines() if l.startswith("# max_bf10 "))
+        with pytest.raises(ValueError, match="max_bf10 999 disagrees"):
+            parse_csv(text.replace(line, "# max_bf10 999"))
+
     def test_rejects_zone_that_is_not_omegas_zone(self):
         lines = render_csv(z_export()).splitlines(keepends=True)
         assert lines[2].endswith(",very small\n")

@@ -264,6 +264,12 @@ class TestQuadratureBayesFactors:
         with pytest.raises(IntegrationError, match="likelihood ratio undefined"):
             log_bf_quadrature(stat, 1.0)
 
+    @pytest.mark.parametrize("k", [3, 4, 10])
+    def test_zero_chisq_density_past_two_df(self, k):
+        # every central density of the Poisson mixture is 0 at h = 0 when k > 2
+        q = NoncentralDensityQuery(Family.CHISQ, 0.0, 3.0, df1=k)
+        assert log_density_noncentral(q) == -math.inf
+
     def test_zero_f_statistic_with_two_numerator_df(self):
         # f^0 = 1 at f = 0: the F(2, m) density is finite there, and the
         # noncentral one is e^(-lam/2) times it

@@ -1,6 +1,7 @@
 """Tests for the normal moment prior and the gamma non-centrality prior."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -40,6 +41,14 @@ class TestNormalMomentPrior:
         # ln(2 e^{-1} / sqrt(2 pi)); 40-digit reference -1.225791352644727432363
         got = nm_log_density(NormalMomentPrior(0.0, 1.0), math.sqrt(2.0))
         assert math.isclose(got, -1.2257913526447274, rel_tol=1e-14)
+
+    def test_subnormal_tau2_keeps_precision(self):
+        # d * d and tau2 are subnormal, with few significant bits; d / tau is not
+        tau2, d = 1e-323, 3e-162
+        ratio = float(Fraction(d) ** 2 / Fraction(tau2))  # (d/tau)^2, exactly rounded
+        want = 2.0 * math.log(d) - 0.5 * math.log(2.0 * math.pi) - 1.5 * math.log(tau2)
+        got = nm_log_density(NormalMomentPrior(0.0, tau2), d)
+        assert math.isclose(got, want - 0.5 * ratio, rel_tol=1e-14)
 
     @given(st.floats(1e-3, 1e3, allow_nan=False), st.floats(1e-6, 20.0, allow_nan=False))
     def test_symmetry_about_zero(self, tau2, d):
