@@ -20,6 +20,7 @@ overflow both ways, with no numpy warning; a curve names it not finite.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -57,6 +58,8 @@ class TestStatistic:
         name, carried = self.family.value, DF_FIELDS[self.family]
         for field in ("df1", "df2"):
             df = getattr(self, field)
+            if df is not None and df > sys.float_info.max:
+                raise ValueError(f"{name} statistic's {field} is larger than the largest double")
             if field in carried and (df is None or df < 1):
                 raise ValueError(f"{name} statistics need {field} >= 1, got {df}")
             if field not in carried and df is not None:

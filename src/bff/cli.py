@@ -73,8 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="export format (default csv)")
     common.add_argument("--out", default=None, help="write the export here instead of stdout")
     common.add_argument("--oracle", action="store_true",
-                        help="recompute sampled Bayes factors by quadrature and "
-                             "report the largest log discrepancy")
+                        help="recompute sampled Bayes factors by quadrature, report "
+                             "the largest log discrepancy, and exit 1 past 1e-6 relative")
     common.add_argument("--threshold", type=float, action="append", default=[],
                         metavar="BF", help="also report crossings of this Bayes factor "
                                            "(repeatable)")
@@ -194,7 +194,7 @@ def parse_study_file(text: str) -> tuple[list[Study], EffectGrid | None]:
                 k=int_field("k"),
             )
             studies.append(Study(statistic=stat, design=design, label=label))
-        except ValueError as e:
+        except (OverflowError, ValueError) as e:  # a value past the largest double
             raise StudyFileError(f"{where}: {e}") from e
 
     grid = None
@@ -242,7 +242,7 @@ def _oracle_report(studies: list[Study], curve: BFFCurve) -> None:
         for p in zip(curve.omegas[::stride].tolist(), curve.log_bfs[::stride].tolist())
         if p[0] > 0.0
     ]
-    worst = 0.0
+    worst, failed = 0.0, None
     for omega, log_bf_closed in sampled:
         log_bf_quad = 0.0
         for study in studies:
@@ -251,7 +251,11 @@ def _oracle_report(studies: list[Study], curve: BFFCurve) -> None:
             if tau2 > 0.0:
                 log_bf_quad += log_bf_quadrature(study.statistic, tau2)
         worst = max(worst, abs(log_bf_quad - log_bf_closed))
+        if not (failed or math.isclose(log_bf_quad, log_bf_closed, rel_tol=1e-6, abs_tol=1e-9)):
+            failed = f"omega {omega!r}: dlog BF {log_bf_quad - log_bf_closed:.3e}"
     print(f"oracle max |dlog BF| {worst:.3e} over {len(sampled)} grid points")
+    if failed:
+        raise ArithmeticError(f"oracle disagrees with the closed form at {failed}")
 
 
 def _deliver(export: CurveExport, args) -> None:

@@ -221,7 +221,8 @@ def threshold_crossings(curve: BFFCurve, log_thresholds: Sequence[float]) -> lis
 
 def _build_curve(fn: _StudySum, grid: EffectGrid, label: str) -> BFFCurve:
     omegas = grid.omegas()
-    log_bfs = fn(omegas)
+    with np.errstate(invalid="ignore"):  # studies at +inf and -inf sum to nan
+        log_bfs = fn(omegas)
     if not np.all(np.isfinite(log_bfs)):
         raise FloatingPointError("ln BF10 is not finite at some grid point")
     omegas.flags.writeable = False

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -64,6 +65,9 @@ class StudyDesign:
     k: int | None = None
 
     def __post_init__(self) -> None:
+        for field in ("n", "n1", "n2", "k"):
+            if (getattr(self, field) or 0) > sys.float_info.max:
+                raise ValueError(f"{self.design.value} {field} is larger than the largest double")
         if self.design in _TWO_SAMPLE:
             if self.n1 is None or self.n1 < 1 or self.n2 is None or self.n2 < 1:
                 raise ValueError(
@@ -112,7 +116,8 @@ def tau2_scale(design: StudyDesign) -> float:
     """The constant c with tau2 = c * omega^2 for this design."""
     d = design.design
     if d in _TWO_SAMPLE:
-        return design.n1 * design.n2 / (2.0 * (design.n1 + design.n2))
+        # in integers, one rounding even where n1 * n2 is past the largest double
+        return design.n1 * design.n2 / (2 * (design.n1 + design.n2))
     if d in (Design.MULTINOMIAL_CHISQ, Design.LIKELIHOOD_RATIO_CHISQ):
         return float(design.n)
     return design.n / 2.0  # one-sample z or t, linear-model F

@@ -12,7 +12,7 @@ bayes_factors, not to serve evaluations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .priors import (
     GammaNCPPrior,
     NormalMomentPrior,
     gamma_log_density,
+    gamma_logpdf,
     nm_log_density,
 )
 
@@ -58,53 +59,29 @@ class NoncentralDensityQuery:
             )
 
 
-def _gamma_logpdf(x: float, shape: float, rate: float) -> float:
-    if x < 0:
-        raise ValueError(f"gamma density requires x >= 0, got {x}")
-    if x == 0.0:
-        return math.inf if shape < 1 else (math.log(rate) if shape == 1 else -math.inf)
-    return (
-        shape * math.log(rate)
-        - log_gamma(shape)
-        + (shape - 1.0) * math.log(x)
-        - rate * x
-    )
-
-
 def log_density_null(
     family: Family, value: float, df1: int | None = None, df2: int | None = None
 ) -> float:
-    """Log density of the statistic under the null (central) distribution."""
-    if family is Family.Z:
-        return -0.5 * LOG_2PI - 0.5 * value * value
-    if family is Family.T:
-        nu = df1
-        return (
-            log_gamma(0.5 * (nu + 1))
-            - log_gamma(0.5 * nu)
-            - 0.5 * math.log(nu * math.pi)
-            - 0.5 * (nu + 1) * math.log1p(value * value / nu)
-        )
-    if family is Family.CHISQ:
-        k = df1
-        return _gamma_logpdf(value, 0.5 * k, 0.5)
-    k, m = df1, df2
-    if value < 0:
-        raise ValueError(f"F statistic must be >= 0, got {value}")
-    if value == 0.0:
-        if k == 2:
-            return 0.0
-        return math.inf if k < 2 else -math.inf
+    """Null log density: the noncentral one at lam = 0, but a closed form for t."""
+    if family is not Family.T:
+        return _DENSITIES[family](value, 0.0, df1, df2, DEFAULT_QUADRATURE)
+    nu = df1
     return (
-        0.5 * k * math.log(k / m)
-        + (0.5 * k - 1.0) * math.log(value)
-        - 0.5 * (k + m) * math.log1p(k * value / m)
-        - log_beta(0.5 * k, 0.5 * m)
+        log_gamma(0.5 * (nu + 1))
+        - log_gamma(0.5 * nu)
+        - 0.5 * math.log(nu * math.pi)
+        - 0.5 * (nu + 1) * math.log1p(value * value / nu)
     )
 
 
+def _nz_log_density(z: float, lam: float, df1, df2, quad_spec: QuadratureSpec) -> float:
+    """Normal log density of z around lam, unit variance."""
+    d = z - lam
+    return -0.5 * LOG_2PI - 0.5 * d * d
+
+
 def _nct_log_density_integral(
-    t: float, nu: int, lam: float, quad_spec: QuadratureSpec
+    t: float, lam: float, nu: int, df2, quad_spec: QuadratureSpec
 ) -> float:
     """Noncentral t log density from its single-integral representation.
 
@@ -136,20 +113,15 @@ def _nct_log_density_integral(
     return log_c + shift + math.log(total) - 0.5 * nu * lam * lam / (d * d)
 
 
-def _series_spec(series_spec: SeriesSpec, min_terms: int) -> SeriesSpec:
-    """series_spec with at least min_terms terms; SeriesError past max_terms."""
-    if min_terms > series_spec.max_terms:
-        raise SeriesError(f"series needs {min_terms} terms, over max_terms {series_spec.max_terms}")
-    return SeriesSpec(
-        term_rel_cutoff=series_spec.term_rel_cutoff,
-        min_terms=max(series_spec.min_terms, min_terms),
-        max_terms=series_spec.max_terms,
-    )
+def _series_spec(min_terms: int) -> SeriesSpec:
+    """DEFAULT_SERIES with at least min_terms terms; SeriesError past max_terms."""
+    cap = DEFAULT_SERIES.max_terms
+    if min_terms > cap:
+        raise SeriesError(f"series needs {min_terms} terms, over max_terms {cap}")
+    return replace(DEFAULT_SERIES, min_terms=max(DEFAULT_SERIES.min_terms, min_terms))
 
 
-def noncentral_t_log_density_series(
-    t: float, nu: int, lam: float, series_spec: SeriesSpec = DEFAULT_SERIES
-) -> float:
+def noncentral_t_log_density_series(t: float, nu: int, lam: float) -> float:
     """Noncentral t log density from its power-series representation.
 
     An independent route to the density that log_density_noncentral takes
@@ -176,7 +148,7 @@ def noncentral_t_log_density_series(
     # terms rise before they fall; scale by the largest magnitude so the
     # guarded linear-space summation neither overflows nor stops early
     peak = int(a * a) + 10
-    spec = _series_spec(series_spec, peak)
+    spec = _series_spec(peak)
     shift = max(log_abs_term(j) for j in range(peak + 1))
     sign = -1.0 if a < 0 else 1.0
 
@@ -189,12 +161,7 @@ def noncentral_t_log_density_series(
     return log_front + shift + math.log(total)
 
 
-def _poisson_series_log_density(
-    lam: float,
-    central_logpdf,
-    mode_hint: int,
-    series_spec: SeriesSpec,
-) -> float:
+def _poisson_series_log_density(lam: float, central_logpdf, mode_hint: int) -> float:
     """Sum a Poisson(lam/2)-weighted family of central log densities."""
     if lam == 0.0:
         return central_logpdf(0)
@@ -208,7 +175,7 @@ def _poisson_series_log_density(
         )
 
     scan_hi = mode_hint + 10
-    spec = _series_spec(series_spec, scan_hi)
+    spec = _series_spec(scan_hi)
     shift = max(log_term(i) for i in range(scan_hi + 1))
 
     def term(i: int) -> float:
@@ -217,25 +184,21 @@ def _poisson_series_log_density(
     return shift + math.log(sum_series(term, spec))
 
 
-def _ncx2_log_density(
-    h: float, k: int, lam: float, series_spec: SeriesSpec
-) -> float:
+def _ncx2_log_density(h: float, lam: float, k: int, df2, quad_spec: QuadratureSpec) -> float:
     """Noncentral chi-squared log density as a Poisson mixture of central ones."""
     if h < 0:
         raise ValueError(f"chi-squared statistic must be >= 0, got {h}")
 
     def central(i: int) -> float:
-        return _gamma_logpdf(h, 0.5 * (k + 2 * i), 0.5)
+        return gamma_logpdf(h, 0.5 * (k + 2 * i), 0.5)
 
     if h == 0.0:  # every central density past the first is 0 there
         return -0.5 * lam + central(0)
     mode_hint = int(max(0.5 * lam, 0.5 * math.sqrt(lam * h)))
-    return _poisson_series_log_density(lam, central, mode_hint, series_spec)
+    return _poisson_series_log_density(lam, central, mode_hint)
 
 
-def _ncf_log_density(
-    f: float, k: int, m: int, lam: float, series_spec: SeriesSpec
-) -> float:
+def _ncf_log_density(f: float, lam: float, k: int, m: int, quad_spec: QuadratureSpec) -> float:
     """Noncentral F log density as a Poisson-weighted series.
 
     Term r carries the central F(k + 2r, m) density rescaled to the
@@ -260,23 +223,23 @@ def _ncf_log_density(
     # the term ratio is roughly (lam/2) * (kf/m)/(1+kf/m) / r, so the mode
     # never sits far beyond lam/2
     mode_hint = int(0.5 * lam * min(1.0, math.exp(log_ratio))) if f > 0 else 0
-    return _poisson_series_log_density(lam, central, max(mode_hint, int(0.5 * lam)), series_spec)
+    return _poisson_series_log_density(lam, central, max(mode_hint, int(0.5 * lam)))
+
+
+# each family's noncentral log density, as f(x, lam, df1, df2, quad_spec)
+_DENSITIES = {
+    Family.Z: _nz_log_density,
+    Family.T: _nct_log_density_integral,
+    Family.CHISQ: _ncx2_log_density,
+    Family.F: _ncf_log_density,
+}
 
 
 def log_density_noncentral(
-    q: NoncentralDensityQuery,
-    quad_spec: QuadratureSpec = DEFAULT_QUADRATURE,
-    series_spec: SeriesSpec = DEFAULT_SERIES,
+    q: NoncentralDensityQuery, quad_spec: QuadratureSpec = DEFAULT_QUADRATURE
 ) -> float:
     """Log density of the statistic at non-centrality lam."""
-    if q.family is Family.Z:
-        d = q.value - q.lam
-        return -0.5 * LOG_2PI - 0.5 * d * d
-    if q.family is Family.T:
-        return _nct_log_density_integral(q.value, q.df1, q.lam, quad_spec)
-    if q.family is Family.CHISQ:
-        return _ncx2_log_density(q.value, q.df1, q.lam, series_spec)
-    return _ncf_log_density(q.value, q.df1, q.df2, q.lam, series_spec)
+    return _DENSITIES[q.family](q.value, q.lam, q.df1, q.df2, quad_spec)
 
 
 def _log_integral_shifted(log_integrand, ends, quad_spec: QuadratureSpec) -> float:
@@ -284,13 +247,14 @@ def _log_integral_shifted(log_integrand, ends, quad_spec: QuadratureSpec) -> flo
 
     The integrand vanishes at 0 and is unimodal toward each end, so a
     geometric scan from 0 finds its support: the scan keeps the running
-    maximum and stops once the integrand falls e^-745 below it, where exp
-    underflows anyway. The piece from 0 to that stop is integrated in units
-    of the scan's argmax, rescaled by the scan maximum, with the argmax as a
-    breakpoint so a sharp peak cannot fall between the initial quadrature
-    nodes; the units keep the integral near 1 whatever the support's width,
-    so the spec's absolute tolerance stays meaningful. Each end must lie past
-    the integrand's mass, and 1e-9 * end below its peak.
+    maximum and stops once the integrand falls e^-40 below it. The prior
+    decays at least exponentially, so the tail cut there is about 1e-16 of the
+    integral, below any tolerance in use. The piece from 0 to that stop is
+    integrated in units of the scan's argmax, rescaled by the scan maximum,
+    with the argmax as a breakpoint so a sharp peak cannot fall between the
+    initial quadrature nodes; the units keep the integral near 1 whatever the
+    support's width, so the spec's absolute tolerance stays meaningful. Each
+    end must lie past the integrand's mass, and 1e-9 * end below its peak.
     """
     logs = []
     for end in ends:
@@ -299,7 +263,7 @@ def _log_integral_shifted(log_integrand, ends, quad_spec: QuadratureSpec) -> flo
             v = log_integrand(x)
             if v > shift:
                 shift, peak = v, x
-            elif v < shift - 745.0:
+            elif v < shift - 40.0:
                 stop = x
                 break
         if shift == -math.inf:
@@ -321,7 +285,6 @@ def log_bf_quadrature(
     stat: TestStatistic,
     tau2: float,
     quad_spec: QuadratureSpec = DEFAULT_QUADRATURE,
-    series_spec: SeriesSpec = DEFAULT_SERIES,
 ) -> float:
     """ln BF10 = ln of the integral of p(x | lam) / p(x | 0) * pi(lam) dlam.
 
@@ -358,10 +321,10 @@ def log_bf_quadrature(
             like_end = (10.0 * df1 * x + 40.0 * (df1 + 2.0) + 50.0) * (1.0 + df1 * x / df2)
         ends = (min(40.0 * (df1 + 2.0) * tau2, like_end),)
 
+    density = _DENSITIES[family]
+
     def log_integrand(lam: float) -> float:
-        q = NoncentralDensityQuery(family, x, lam, df1, df2)
-        nc = log_density_noncentral(q, quad_spec, series_spec)
-        return nc - log_null + log_prior(prior, lam)
+        return density(x, lam, df1, df2, quad_spec) - log_null + log_prior(prior, lam)
 
     return _log_integral_shifted(log_integrand, ends, quad_spec)
 
@@ -373,8 +336,8 @@ def log_marginal_mixture_chisq(h: float, k: int, tau2: float) -> float:
           + tau2/(tau2+1) * g(h; k/2+1, 1/(2(tau2+1)))
     """
     rate = 1.0 / (2.0 * (tau2 + 1.0))
-    a = -math.log1p(tau2) + _gamma_logpdf(h, 0.5 * k, rate)
-    b = math.log(tau2) - math.log1p(tau2) + _gamma_logpdf(h, 0.5 * k + 1.0, rate)
+    a = -math.log1p(tau2) + gamma_logpdf(h, 0.5 * k, rate)
+    b = math.log(tau2) - math.log1p(tau2) + gamma_logpdf(h, 0.5 * k + 1.0, rate)
     return float(np.logaddexp(a, b))
 
 

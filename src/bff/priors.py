@@ -68,18 +68,23 @@ def nm_modes(p: NormalMomentPrior) -> tuple[float, float]:
     return (p.mu0 - half_width, p.mu0 + half_width)
 
 
-def gamma_log_density(p: GammaNCPPrior, x: float) -> float:
-    """ln of the G(shape, rate) density at x >= 0; -inf at x = 0."""
+def gamma_logpdf(x: float, shape: float, rate: float) -> float:
+    """ln of the G(shape, rate) density at x >= 0; at x = 0 its limit for this shape."""
     if x < 0:
         raise ValueError(f"gamma density requires x >= 0, got {x}")
     if x == 0.0:
-        return -math.inf
+        return math.inf if shape < 1 else (math.log(rate) if shape == 1 else -math.inf)
     return (
-        p.shape * math.log(p.rate)
-        - math.lgamma(p.shape)
-        + (p.shape - 1.0) * math.log(x)
-        - p.rate * x
+        shape * math.log(rate)
+        - math.lgamma(shape)
+        + (shape - 1.0) * math.log(x)
+        - rate * x
     )
+
+
+def gamma_log_density(p: GammaNCPPrior, x: float) -> float:
+    """ln of the G(k/2 + 1, 1/(2 tau2)) prior density at x >= 0; -inf at x = 0."""
+    return gamma_logpdf(x, p.shape, p.rate)
 
 
 def gamma_mode(p: GammaNCPPrior) -> float:

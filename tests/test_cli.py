@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import bff.cli as cli
 import bff.oracle
+from bff.bayes_factors import log_bf
 from bff.exports import parse_csv, render_csv
 from bff.numerics import IntegrationError, SeriesError
 
@@ -274,6 +275,42 @@ class TestExitCodes:
         assert code == 1
         assert "compute error: synthetic series failure" in err
 
+    def test_oracle_disagreement_exits_one(self, capsys, monkeypatch):
+        def off(stat, tau2):
+            return log_bf(stat, tau2) + 1e-3
+
+        monkeypatch.setattr(bff.oracle, "log_bf_quadrature", off)
+        code, out, err = run_cli(
+            capsys, "z", "--stat", "2", "--n", "100", "--steps", "11", "--oracle"
+        )
+        assert code == 1
+        assert "oracle max |dlog BF| 1.000e-03 over 10 grid points" in out
+        assert "compute error: oracle disagrees with the closed form at omega 0.1:" in err
+
+
+class TestIntegersPastTheLargestDouble:
+    """An integer too large for a double is bad input (exit 2), not a compute error."""
+
+    def test_sample_size_flag(self, capsys):
+        code, out, err = run_cli(capsys, "z", "--stat", "2", "--n", str(10**400))
+        assert code == 2
+        assert "n is larger than the largest double" in err
+
+    def test_study_file_df(self, capsys, tmp_path):
+        doc = json.loads(json.dumps(F_META))
+        doc["studies"][0]["df1"] = 10**400
+        code, out, err = run_cli(capsys, "combine", "--studies", write_meta(tmp_path, doc))
+        assert code == 2
+        assert "studies[0]: f statistic's df1 is larger than the largest double" in err
+
+    def test_group_sizes_whose_product_is_past_it(self, capsys):
+        # each size fits in a double; only n1 n2 does not, and tau2's scale does
+        n = str(10**200)
+        code, out, err = run_cli(
+            capsys, "t", "--stat", "2", "--df", "10", "--n1", n, "--n2", n, "--steps", "5"
+        )
+        assert code == 0, err
+
 
 class TestNonFiniteInput:
     """A NaN or infinity in the input is a usage error, never a silent result."""
@@ -297,7 +334,9 @@ class TestNonFiniteInput:
         assert needle in err
         assert out == ""
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, True], ids=["nan", "inf", "true"])
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, True, 10**400], ids=["nan", "inf", "true", "huge-int"]
+    )
     def test_study_file_value_rejected(self, capsys, tmp_path, value):
         doc = json.loads(json.dumps(F_META))
         doc["studies"][1]["value"] = value
@@ -651,6 +690,75 @@ def test_every_argv_ends_in_output_or_a_named_error(argv):
     code, out, err = run_guarded(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+    if code == 0:
+        assert "nan" not in out
+        text = out.split("\n\n", 1)[1]
+        assert render_csv(parse_csv(text)) == text
+
+
+# each design's family and sample-size fields; k is the statistic's df1
+DESIGN_FIELDS = {
+    "one_sample_z": ("z", ("n",)), "two_sample_z": ("z", ("n1", "n2")),
+    "one_sample_t": ("t", ("n",)), "two_sample_t": ("t", ("n1", "n2")),
+    "multinomial_chisq": ("chisq", ("n",)), "likelihood_ratio_chisq": ("chisq", ("n",)),
+    "linear_model_f": ("f", ("n",)),
+}
+FAMILY_DFS = {"z": (), "t": ("df1",), "chisq": ("df1",), "f": ("df1", "df2")}
+INT_FIELDS = ("df1", "df2", "n", "n1", "n2", "k")
+
+
+@st.composite
+def study_records(draw):
+    """One study-file record over every family and design, with the argv property's values.
+
+    Most records are well formed; one in ten reports another family, and one
+    in ten carries integer fields its design or family does not take.
+    """
+    design = draw(st.sampled_from(sorted(DESIGN_FIELDS)))
+    family, sizes = DESIGN_FIELDS[design]
+    if draw(st.integers(0, 9)) == 0:
+        family = draw(st.sampled_from(sorted(FAMILY_DFS)))
+    record = {"family": family, "design": design, "value": draw(NUMBERS)}
+    for name in FAMILY_DFS[family] + sizes:
+        record[name] = draw(COUNTS)
+    if family in ("chisq", "f"):
+        record["k"] = record["df1"]
+    if draw(st.integers(0, 9)) == 0:
+        for name in draw(st.sets(st.sampled_from(INT_FIELDS), min_size=1)):
+            record[name] = draw(COUNTS)
+    return record
+
+
+@st.composite
+def study_files(draw):
+    doc = {"studies": draw(st.lists(study_records(), min_size=1, max_size=3))}
+    if draw(st.booleans()):
+        grid = {key: draw(NUMBERS) for key in draw(st.sets(st.sampled_from(("min", "max"))))}
+        if draw(st.booleans()):
+            grid["steps"] = draw(st.integers(-1, 300))
+        doc["grid"] = grid
+    return doc
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(study_files())
+# two group sizes whose product is past the largest double
+@example({"studies": [{"family": "t", "design": "two_sample_t", "value": 2.0, "df1": 10,
+                       "n1": 10**200, "n2": 10**200}]})
+# one study's ln BF10 is +inf and the other's -inf, so their sum is nan
+@example({"studies": [
+    {"family": "z", "design": "one_sample_z", "value": 1e155, "n": 1},
+    {"family": "chisq", "design": "likelihood_ratio_chisq", "value": 1.0, "df1": 10**306,
+     "n": 10**157, "k": 10**306},
+]})
+def test_every_study_file_ends_in_output_or_a_named_error(tmp_path, doc):
+    path = write_meta(tmp_path, doc)
+    code, out, err = run_guarded(["combine", "--studies", path])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    # without --oracle, the one compute failure is a curve that is not finite
+    assert code != 1 or "compute error: ln BF10 is not finite" in err
     if code == 0:
         assert "nan" not in out
         text = out.split("\n\n", 1)[1]

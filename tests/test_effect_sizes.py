@@ -90,6 +90,14 @@ class TestStudyDesignValidation:
         with pytest.raises(ValueError):
             StudyDesign(Design.LINEAR_MODEL_F, n=100, k=0)
 
+    @pytest.mark.parametrize("field", ["n", "k"])
+    def test_sizes_past_the_largest_double(self, field):
+        sizes = {"n": 100, "k": 2, field: 10**400}
+        with pytest.raises(ValueError, match=f"{field} is larger than the largest double"):
+            StudyDesign(Design.LINEAR_MODEL_F, **sizes)
+        with pytest.raises(ValueError, match="n2 is larger"):
+            StudyDesign(Design.TWO_SAMPLE_T, n1=3, n2=10**400)
+
 
 class TestTau2For:
     def test_one_sample_z(self):
@@ -107,6 +115,11 @@ class TestTau2For:
     def test_two_sample(self):
         d = _design(Design.TWO_SAMPLE_T, n1=50, n2=50)
         assert math.isclose(tau2_for(d, EffectSize(0.2)), 0.5, rel_tol=1e-15)
+
+    def test_two_sample_scale_divides_in_integers(self):
+        # n1 n2 = 1e400 is past the largest double; the scale itself is not
+        d = _design(Design.TWO_SAMPLE_T, n1=10**200, n2=10**200)
+        assert tau2_for(d, EffectSize(1.0)) == 2.5e199
 
     def test_lrt_matches_multinomial_rule(self):
         a = _design(Design.MULTINOMIAL_CHISQ, n=300, k=5)

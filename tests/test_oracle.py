@@ -245,6 +245,15 @@ class TestQuadratureBayesFactors:
             log_bf_quadrature(stat, tau2), log_bf(stat, tau2), rel_tol=1e-6, abs_tol=1e-9
         )
 
+    def test_f_on_one_denominator_df(self):
+        # at m = 1 the noncentral F density decays in lam only like
+        # e^(-lam/(2(1 + kf))): a scan on to e^-745 below the peak reached
+        # lam ~ 5e5, past the series' max_terms
+        stat = TestStatistic(Family.F, 20.0, df1=10, df2=1)
+        assert math.isclose(
+            log_bf_quadrature(stat, 1e3), log_bf(stat, 1e3), rel_tol=1e-6, abs_tol=1e-9
+        )
+
     def test_gamma_prior_past_its_rate_is_a_compute_error(self):
         # a subnormal tau2 (omega 1e-161 at n = 1) has rate 1/(2 tau2) = inf
         with pytest.raises(IntegrationError, match="rate"):
