@@ -56,16 +56,22 @@ class TestStatistic:
         if isinstance(self.value, bool) or not math.isfinite(self.value):
             raise ValueError(f"statistic value must be a finite number, got {self.value!r}")
         name, carried = self.family.value, DF_FIELDS[self.family]
+        check_fits_double(self, ("df1", "df2"), f"{name} statistic's")
         for field in ("df1", "df2"):
             df = getattr(self, field)
-            if df is not None and df > sys.float_info.max:
-                raise ValueError(f"{name} statistic's {field} is larger than the largest double")
             if field in carried and (df is None or df < 1):
                 raise ValueError(f"{name} statistics need {field} >= 1, got {df}")
             if field not in carried and df is not None:
                 raise ValueError(f"{name} statistics carry no {field}")
         if self.family in (Family.CHISQ, Family.F) and self.value < 0:
             raise ValueError(f"{name} statistic must be >= 0, got {self.value}")
+
+
+def check_fits_double(obj, fields: tuple[str, ...], owner: str) -> None:
+    """Reject an integer field past the largest double: the forms take it as a double."""
+    for field in fields:
+        if (getattr(obj, field) or 0) > sys.float_info.max:
+            raise ValueError(f"{owner} {field} is larger than the largest double")
 
 
 def form_args(stat: TestStatistic) -> tuple:

@@ -167,6 +167,8 @@ def parse_study_file(text: str) -> tuple[list[Study], EffectGrid | None]:
         value = record.get("value")
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise StudyFileError(f"{where}.value must be a number")
+        if isinstance(value, int) and abs(value) > sys.float_info.max:
+            raise StudyFileError(f"{where}.value is larger than the largest double")
         label = record.get("label", "")
         if not isinstance(label, str):
             raise StudyFileError(f"{where}.label must be a string")
@@ -194,7 +196,7 @@ def parse_study_file(text: str) -> tuple[list[Study], EffectGrid | None]:
                 k=int_field("k"),
             )
             studies.append(Study(statistic=stat, design=design, label=label))
-        except (OverflowError, ValueError) as e:  # a value past the largest double
+        except ValueError as e:
             raise StudyFileError(f"{where}: {e}") from e
 
     grid = None

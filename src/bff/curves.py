@@ -84,14 +84,19 @@ class _StudySum:
             raise ValueError(
                 f"tau2 = c * omega^2 overflows; the largest usable omega is {self._omega_max!r}"
             )
-        return self.unchecked(omegas)
+        columns = self._columns(omegas)  # outside the errstate, so a kernel's nan warns
+        with np.errstate(invalid="ignore"):  # studies at +inf and -inf sum to nan
+            return sum(c.sum(axis=0) for c in columns)
 
     def unchecked(self, omegas: np.ndarray) -> np.ndarray:
         """The same sum without the grid checks, for omegas inside a checked grid."""
+        return sum(c.sum(axis=0) for c in self._columns(omegas))
+
+    def _columns(self, omegas: np.ndarray) -> list[np.ndarray]:
         # every kernel is exactly 0 at tau2 = 0, so omega = 0 (and any omega whose
         # tau2 underflows) gives the point-null limit ln BF10 = 0
         w2 = omegas * omegas
-        return sum(kernel(*data, scale * w2).sum(axis=0) for kernel, data, scale in self._groups)
+        return [kernel(*data, scale * w2) for kernel, data, scale in self._groups]
 
 
 @dataclass(frozen=True)
@@ -221,8 +226,7 @@ def threshold_crossings(curve: BFFCurve, log_thresholds: Sequence[float]) -> lis
 
 def _build_curve(fn: _StudySum, grid: EffectGrid, label: str) -> BFFCurve:
     omegas = grid.omegas()
-    with np.errstate(invalid="ignore"):  # studies at +inf and -inf sum to nan
-        log_bfs = fn(omegas)
+    log_bfs = fn(omegas)
     if not np.all(np.isfinite(log_bfs)):
         raise FloatingPointError("ln BF10 is not finite at some grid point")
     omegas.flags.writeable = False

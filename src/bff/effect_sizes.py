@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import bisect
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .bayes_factors import Family
+from .bayes_factors import Family, check_fits_double
 
 
 class Design(Enum):
@@ -65,9 +64,7 @@ class StudyDesign:
     k: int | None = None
 
     def __post_init__(self) -> None:
-        for field in ("n", "n1", "n2", "k"):
-            if (getattr(self, field) or 0) > sys.float_info.max:
-                raise ValueError(f"{self.design.value} {field} is larger than the largest double")
+        check_fits_double(self, ("n", "n1", "n2", "k"), self.design.value)
         if self.design in _TWO_SAMPLE:
             if self.n1 is None or self.n1 < 1 or self.n2 is None or self.n2 < 1:
                 raise ValueError(

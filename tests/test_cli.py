@@ -303,6 +303,14 @@ class TestIntegersPastTheLargestDouble:
         assert code == 2
         assert "studies[0]: f statistic's df1 is larger than the largest double" in err
 
+    @pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["positive", "negative"])
+    def test_study_file_value(self, capsys, tmp_path, value):
+        doc = json.loads(json.dumps(F_META))
+        doc["studies"][1]["value"] = value
+        code, out, err = run_cli(capsys, "combine", "--studies", write_meta(tmp_path, doc))
+        assert code == 2
+        assert "studies[1].value is larger than the largest double" in err
+
     def test_group_sizes_whose_product_is_past_it(self, capsys):
         # each size fits in a double; only n1 n2 does not, and tau2's scale does
         n = str(10**200)
@@ -686,6 +694,8 @@ def statistic_argvs(draw):
           "--omega-max=1.8e153", "--steps=3"])
 # degrees of freedom near the largest double: ln BF10 lies past it
 @example(["f", "--stat=0.0", "--n=44", f"--df1={10**308}", f"--df2={10**308}"])
+# z^2 overflows while tau2 = 0 at omega = 0: a kernel that formed 0 * inf would warn here
+@example(["z", "--stat=1e200", "--n=100", "--steps=5"])
 def test_every_argv_ends_in_output_or_a_named_error(argv):
     code, out, err = run_guarded(argv)
     assert code in (0, 1, 2)
