@@ -3,7 +3,8 @@
 Everything here recomputes Bayes factors from first principles: null and
 noncentral densities built from their primitive representations (an integral
 form for the noncentral t, Poisson-weighted series for the noncentral
-chi-squared and F), marginal likelihoods by direct quadrature against the
+chi-squared and F, each summed outward from its largest term by the ratio of
+neighbouring terms), marginal likelihoods by direct quadrature against the
 priors, and two-component mixture forms of the chi-squared and F marginals.
 Deliberately slow and redundant; it exists to catch algebra bugs in
 bayes_factors, not to serve evaluations.
@@ -23,7 +24,6 @@ from .numerics import (
     IntegrationError,
     QuadratureSpec,
     SeriesError,
-    SeriesSpec,
     integrate,
     log_beta,
     log_gamma,
@@ -113,14 +113,6 @@ def _nct_log_density_integral(
     return log_c + shift + math.log(total) - 0.5 * nu * lam * lam / (d * d)
 
 
-def _series_spec(min_terms: int) -> SeriesSpec:
-    """DEFAULT_SERIES with at least min_terms terms; SeriesError past max_terms."""
-    cap = DEFAULT_SERIES.max_terms
-    if min_terms > cap:
-        raise SeriesError(f"series needs {min_terms} terms, over max_terms {cap}")
-    return replace(DEFAULT_SERIES, min_terms=max(DEFAULT_SERIES.min_terms, min_terms))
-
-
 def noncentral_t_log_density_series(t: float, nu: int, lam: float) -> float:
     """Noncentral t log density from its power-series representation.
 
@@ -147,8 +139,10 @@ def noncentral_t_log_density_series(t: float, nu: int, lam: float) -> float:
 
     # terms rise before they fall; scale by the largest magnitude so the
     # guarded linear-space summation neither overflows nor stops early
-    peak = int(a * a) + 10
-    spec = _series_spec(peak)
+    peak, cap = int(a * a) + 10, DEFAULT_SERIES.max_terms
+    if peak > cap:
+        raise SeriesError(f"series needs {peak} terms, over max_terms {cap}")
+    spec = replace(DEFAULT_SERIES, min_terms=max(DEFAULT_SERIES.min_terms, peak))
     shift = max(log_abs_term(j) for j in range(peak + 1))
     sign = -1.0 if a < 0 else 1.0
 
@@ -161,27 +155,41 @@ def noncentral_t_log_density_series(t: float, nu: int, lam: float) -> float:
     return log_front + shift + math.log(total)
 
 
-def _poisson_series_log_density(lam: float, central_logpdf, mode_hint: int) -> float:
-    """Sum a Poisson(lam/2)-weighted family of central log densities."""
+def _poisson_series_log_density(
+    lam: float, central_logpdf, d: float, alpha: float, beta: float
+) -> float:
+    """Sum a Poisson(lam/2)-weighted family of central log densities.
+
+    Term i+1 over term i is (alpha + beta i) / ((i + 1)(d + i)), which falls
+    as i grows: the terms are log-concave, with their mode at the ceiling of
+    the larger root of (i + 1)(d + i) = alpha + beta i. The sum starts from the
+    exact log term there and walks down and up by the ratio, each side
+    stopping once a term falls below term_rel_cutoff of the partial sum.
+    """
     if lam == 0.0:
         return central_logpdf(0)
-
-    def log_term(i: int) -> float:
-        return (
-            -0.5 * lam
-            + i * math.log(0.5 * lam)
-            - log_gamma(i + 1.0)
-            + central_logpdf(i)
-        )
-
-    scan_hi = mode_hint + 10
-    spec = _series_spec(scan_hi)
-    shift = max(log_term(i) for i in range(scan_hi + 1))
-
-    def term(i: int) -> float:
-        return math.exp(log_term(i) - shift)
-
-    return shift + math.log(sum_series(term, spec))
+    cap, cutoff = DEFAULT_SERIES.max_terms, DEFAULT_SERIES.term_rel_cutoff
+    b = d + 1.0 - beta
+    root = 0.5 * (math.sqrt(b * b - 4.0 * (d - alpha)) - b)
+    if not root < cap:
+        raise SeriesError(f"series mode near {root:.6g} lies past max_terms {cap}")
+    mode = max(0, math.ceil(root))
+    total = term = 1.0
+    for i in range(mode - 1, -1, -1):
+        term *= (i + 1.0) * (d + i) / (alpha + beta * i)
+        total += term
+        if term < cutoff * total:
+            break
+    term = 1.0
+    for i in range(mode, cap):
+        term *= (alpha + beta * i) / ((i + 1.0) * (d + i))
+        total += term
+        if term < cutoff * total:
+            break
+    else:
+        raise SeriesError(f"series did not meet cutoff {cutoff:g} within max_terms {cap}")
+    log_weight = -0.5 * lam + mode * math.log(0.5 * lam) - log_gamma(mode + 1.0)
+    return log_weight + central_logpdf(mode) + math.log(total)
 
 
 def _ncx2_log_density(h: float, lam: float, k: int, df2, quad_spec: QuadratureSpec) -> float:
@@ -192,10 +200,8 @@ def _ncx2_log_density(h: float, lam: float, k: int, df2, quad_spec: QuadratureSp
     def central(i: int) -> float:
         return gamma_logpdf(h, 0.5 * (k + 2 * i), 0.5)
 
-    if h == 0.0:  # every central density past the first is 0 there
-        return -0.5 * lam + central(0)
-    mode_hint = int(max(0.5 * lam, 0.5 * math.sqrt(lam * h)))
-    return _poisson_series_log_density(lam, central, mode_hint)
+    # term i+1 over term i is (lam/2)/(i+1) * (h/2)/(k/2+i)
+    return _poisson_series_log_density(lam, central, 0.5 * k, 0.25 * lam * h, 0.0)
 
 
 def _ncf_log_density(f: float, lam: float, k: int, m: int, quad_spec: QuadratureSpec) -> float:
@@ -209,7 +215,6 @@ def _ncf_log_density(f: float, lam: float, k: int, m: int, quad_spec: Quadrature
     if f < 0:
         raise ValueError(f"F statistic must be >= 0, got {f}")
     log_f = math.log(f) if f > 0 else -math.inf
-    log_ratio = math.log(k / m) + log_f - math.log1p(k * f / m)
 
     def central(r: int) -> float:
         power = 0.5 * k + r - 1.0  # f^0 = 1, also at f = 0
@@ -220,10 +225,9 @@ def _ncf_log_density(f: float, lam: float, k: int, m: int, quad_spec: Quadrature
             - log_beta(0.5 * k + r, 0.5 * m)
         )
 
-    # the term ratio is roughly (lam/2) * (kf/m)/(1+kf/m) / r, so the mode
-    # never sits far beyond lam/2
-    mode_hint = int(0.5 * lam * min(1.0, math.exp(log_ratio))) if f > 0 else 0
-    return _poisson_series_log_density(lam, central, max(mode_hint, int(0.5 * lam)))
+    # term r+1 over term r is (lam/2)/(r+1) * x (k/2+m/2+r)/(k/2+r), x = kf/(m+kf)
+    a = 0.5 * lam * k * f / (m + k * f)
+    return _poisson_series_log_density(lam, central, 0.5 * k, 0.5 * (k + m) * a, a)
 
 
 # each family's noncentral log density, as f(x, lam, df1, df2, quad_spec)
@@ -242,14 +246,38 @@ def log_density_noncentral(
     return _DENSITIES[q.family](q.value, q.lam, q.df1, q.df2, quad_spec)
 
 
+def _support(log_integrand, end: float) -> tuple[float, float, float]:
+    """(shift, peak, stop) of a unimodal log_integrand along end * _SCAN.
+
+    The scan keeps the running maximum shift at peak and stops at the first
+    point e^-40 below it (stop = end if none). A coarse pass over every 10th
+    point lands at most 9 points right of the argmax, so a fine pass from 9
+    points left of the coarse one finds what a scan from the first would.
+    """
+    xs = (end * _SCAN).tolist()
+    first = 0
+    for step in (10, 1):
+        shift, peak, stop = -math.inf, xs[0], end
+        for x in xs[first::step]:
+            v = log_integrand(x)
+            if v > shift:
+                shift, peak = v, x
+            elif v < shift - 40.0:
+                stop = x
+                break
+        first = max(0, xs.index(peak) - 9)
+    if shift == -math.inf:
+        raise IntegrationError(f"integrand is not finite anywhere on (0, {end!r})")
+    return shift, peak, stop
+
+
 def _log_integral_shifted(log_integrand, ends, quad_spec: QuadratureSpec) -> float:
     """ln of the sum over ends of the integral of exp(log_integrand) from 0 to end.
 
     The integrand vanishes at 0 and is unimodal toward each end, so a
-    geometric scan from 0 finds its support: the scan keeps the running
-    maximum and stops once the integrand falls e^-40 below it. The prior
-    decays at least exponentially, so the tail cut there is about 1e-16 of the
-    integral, below any tolerance in use. The piece from 0 to that stop is
+    geometric scan from 0 finds its support (`_support`). The prior decays at
+    least exponentially, so the tail cut at the scan's stop is about 1e-16 of
+    the integral, below any tolerance in use. The piece from 0 to that stop is
     integrated in units of the scan's argmax, rescaled by the scan maximum,
     with the argmax as a breakpoint so a sharp peak cannot fall between the
     initial quadrature nodes; the units keep the integral near 1 whatever the
@@ -258,16 +286,7 @@ def _log_integral_shifted(log_integrand, ends, quad_spec: QuadratureSpec) -> flo
     """
     logs = []
     for end in ends:
-        shift, peak, stop = -math.inf, end, end
-        for x in (end * _SCAN).tolist():
-            v = log_integrand(x)
-            if v > shift:
-                shift, peak = v, x
-            elif v < shift - 40.0:
-                stop = x
-                break
-        if shift == -math.inf:
-            raise IntegrationError(f"integrand is not finite anywhere on (0, {end!r})")
+        shift, peak, stop = _support(log_integrand, end)
 
         def f(u: float) -> float:
             v = log_integrand(u * peak) - shift

@@ -1,7 +1,10 @@
 """Tests for the quadrature/series oracle used to verify the closed forms."""
 
+import json
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
@@ -16,6 +19,7 @@ from bff.bayes_factors import (
 from bff.numerics import IntegrationError, QuadratureSpec, SeriesError, integrate
 from bff.oracle import (
     NoncentralDensityQuery,
+    _support,
     log_bf_quadrature,
     log_density_noncentral,
     log_density_null,
@@ -25,6 +29,7 @@ from bff.oracle import (
 )
 
 NORM_QUAD = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-8, max_subdivisions=2000)
+ORACLE_POOL = Path(__file__).resolve().parent.parent / "bench" / "refs" / "oracle.json"
 
 
 class TestQueryValidation:
@@ -148,16 +153,83 @@ class TestNoncentralDensities:
     @pytest.mark.parametrize(
         "query",
         [
-            NoncentralDensityQuery(Family.CHISQ, 12.65, 210000.0, df1=6),
-            NoncentralDensityQuery(Family.F, 2.0, 210000.0, df1=3, df2=20),
+            NoncentralDensityQuery(Family.CHISQ, 4e5, 2e5, df1=6),
+            NoncentralDensityQuery(Family.F, 2.0, 1e6, df1=3, df2=20),
+            NoncentralDensityQuery(Family.CHISQ, 1.996e5, 2e5, df1=6),
+        ],
+        ids=["chisq", "f", "chisq-walk"],
+    )
+    def test_series_past_max_terms_is_a_series_error(self, query):
+        # the Poisson terms peak near 141 000 and 115 000, past max_terms; in
+        # the last case the peak, near 99 900, lies below it but the walk up
+        # from there does not: a compute failure (SeriesError), not a bad
+        # SeriesSpec (ValueError)
+        with pytest.raises(SeriesError, match="max_terms"):
+            log_density_noncentral(query)
+
+    @pytest.mark.parametrize(
+        "query, expected",
+        [
+            (
+                NoncentralDensityQuery(Family.CHISQ, 12.65, 210000.0, df1=6),
+                -103391.47627606583814,
+            ),
+            (
+                NoncentralDensityQuery(Family.F, 2.0, 210000.0, df1=3, df2=20),
+                -80686.590774944985927,
+            ),
         ],
         ids=["chisq", "f"],
     )
-    def test_series_past_max_terms_is_a_series_error(self, query):
-        # the Poisson mode near lam/2 needs more terms than max_terms allows:
-        # a compute failure (SeriesError), not a bad SeriesSpec (ValueError)
-        with pytest.raises(SeriesError, match="max_terms"):
-            log_density_noncentral(query)
+    def test_series_at_large_noncentrality(self, query, expected):
+        # the Poisson terms peak near 815 and 24 000, far below lam/2 = 105 000;
+        # 50-digit references from mpmath, through the Bessel form
+        # e^(-(h+lam)/2) (h/lam)^(k/4-1/2) I_(k/2-1)(sqrt(lam h)) / 2 for
+        # chi-squared and e^(-lam/2) F(f; k, m) 1F1((k+m)/2; k/2; lam k f / (2(k f + m)))
+        # for F
+        assert math.isclose(log_density_noncentral(query), expected, rel_tol=1e-13)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from([Family.CHISQ, Family.F]),
+        st.integers(1, 30),
+        st.integers(1, 200),
+        st.floats(-12.0, 3.0),
+        st.floats(-2.0, 1.0),
+    )
+    # the walk's edges: a mode at 0 (tiny lam), a zero statistic, one df
+    @example(Family.CHISQ, 3, 1, -300.0, 0.0)
+    @example(Family.F, 4, 30, -300.0, 0.0)
+    @example(Family.CHISQ, 1, 1, 3.0, 0.5)
+    @example(Family.F, 1, 1, 3.0, 1.0)
+    @example(Family.F, 10, 1, 3.0, -2.0)
+    @example(Family.CHISQ, 1, 1, 0.5, -math.inf)
+    @example(Family.CHISQ, 2, 1, 3.0, -math.inf)
+    @example(Family.CHISQ, 5, 1, 0.5, -math.inf)
+    @example(Family.F, 1, 20, 0.5, -math.inf)
+    @example(Family.F, 2, 1, 3.0, -math.inf)
+    @example(Family.F, 5, 20, 0.5, -math.inf)
+    def test_poisson_series_against_scipy(self, family, k, m, log10_lam, log_scale):
+        # the statistic at exp(log_scale) times about its mean, where scipy's
+        # density does not underflow. The density is e^(-lam/2) times the
+        # central one at 0, which scipy puts outside the support, and to double
+        # precision at lam < 1e-20, where scipy's noncentral chi-squared on
+        # many df underflows to 0
+        lam = 10.0**log10_lam
+        if family is Family.CHISQ:
+            x = (k + lam) * math.exp(log_scale)
+            query = NoncentralDensityQuery(family, x, lam, df1=k)
+            central, noncentral = stats.chi2(k), stats.ncx2(k, lam)
+        else:
+            x = (k + lam) / k * math.exp(log_scale)
+            query = NoncentralDensityQuery(family, x, lam, df1=k, df2=m)
+            central, noncentral = stats.f(k, m), stats.ncf(k, m, lam)
+        if x == 0.0 or lam < 1e-20:
+            expected = -0.5 * lam + float(central.logpdf(x))
+        else:
+            expected = float(noncentral.logpdf(x))
+        got = log_density_noncentral(query)
+        assert got == expected or math.isclose(got, expected, rel_tol=1e-10, abs_tol=1e-10)
 
     def test_t_series_past_max_terms_is_a_series_error(self):
         with pytest.raises(SeriesError, match="max_terms"):
@@ -197,6 +269,67 @@ class TestNoncentralDensities:
         assert abs(integrate(t_density, -math.inf, math.inf, NORM_QUAD) - 1.0) <= 1e-7
         assert abs(integrate(chisq_density, 0.0, math.inf, NORM_QUAD) - 1.0) <= 1e-7
         assert abs(integrate(f_density, 0.0, math.inf, NORM_QUAD) - 1.0) <= 1e-7
+
+
+def _scan_from_first_point(log_integrand, end):
+    """The support scan over all 101 points from 1e-9 * end: the reference."""
+    shift, peak, stop = -math.inf, end, end
+    for x in (end * np.geomspace(1e-9, 1.0, 101)).tolist():
+        v = log_integrand(x)
+        if v > shift:
+            shift, peak = v, x
+        elif v < shift - 40.0:
+            stop = x
+            break
+    if shift == -math.inf:
+        raise IntegrationError(f"integrand is not finite anywhere on (0, {end!r})")
+    return shift, peak, stop
+
+
+class TestSupportScan:
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(
+        st.floats(-200.0, 200.0),
+        st.booleans(),
+        st.floats(-2.0, 11.0),
+        st.floats(-1e3, 1e3),
+        st.floats(-3.0, 3.0),
+        st.floats(-3.0, 3.0),
+        st.floats(0.5, 3.0),
+        st.floats(1.0, 1e3),
+    )
+    # the mode below the first scan point, so the peak is the first; the mode
+    # past the end, so the peak is the last; a steep rise and a slow fall that
+    # put the peak 9 points left of the coarse one; a finite window narrower
+    # than the coarse spacing; no finite point at all
+    @example(0.0, False, 12.0, 0.0, 0.0, 0.0, 1.0, 1e3)
+    @example(0.0, False, -1.0, 0.0, 0.0, 0.0, 1.0, 1e3)
+    @example(0.0, False, 8.055, 0.0, 3.0, -3.0, 1.0, 1e3)
+    @example(5.0, True, 4.0, 0.0, 1.0, 1.0, 1.0, 10.0)
+    @example(0.0, False, -2.0, 0.0, 1.0, 1.0, 1.0, 1.0)
+    def test_coarse_to_fine_matches_a_scan_from_the_first_point(
+        self, log10_end, negative, log10_past_mode, height, log10_left, log10_right,
+        power, depth,
+    ):
+        # unimodal in ln |x|, with its mode log10_past_mode decades inside the
+        # end, slopes 10^log10_left and 10^log10_right on either side, and -inf
+        # once more than depth below its height
+        end = (-1.0 if negative else 1.0) * 10.0**log10_end
+        log_mode = math.log(abs(end)) - log10_past_mode * math.log(10.0)
+        left, right = 10.0**log10_left, 10.0**log10_right
+
+        def log_integrand(x):
+            u = math.log(abs(x)) - log_mode
+            drop = (left if u < 0 else right) * abs(u) ** power
+            return height - drop if drop <= depth else -math.inf
+
+        try:
+            expected = _scan_from_first_point(log_integrand, end)
+        except IntegrationError:  # no scan point is within depth of the height
+            with pytest.raises(IntegrationError, match="not finite anywhere"):
+                _support(log_integrand, end)
+        else:
+            assert _support(log_integrand, end) == expected
 
 
 class TestQuadratureBayesFactors:
@@ -323,6 +456,19 @@ class TestClosedFormAgainstOracle:
         assert math.isclose(
             log_bf_quadrature(stat, tau2), log_bf(stat, tau2), rel_tol=1e-6, abs_tol=1e-9
         )
+
+    def test_recorded_pool(self):
+        # every point of the benchmark's recorded pool, within its 1e-6 bound
+        cases = json.loads(ORACLE_POOL.read_text(encoding="utf-8"))["cases"]
+        bad = []
+        for case in cases:
+            stat = TestStatistic(
+                Family(case["family"]), case["value"], df1=case.get("df1"), df2=case.get("df2")
+            )
+            got, closed = log_bf_quadrature(stat, case["tau2"]), case["ref"]["log_bf"]
+            if not abs(got - closed) <= 1e-6 * abs(closed):
+                bad.append((stat, case["tau2"], got, closed))
+        assert cases and not bad
 
 
 class TestMixtureMarginals:
