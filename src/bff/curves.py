@@ -84,13 +84,14 @@ class _StudySum:
             raise ValueError(
                 f"tau2 = c * omega^2 overflows; the largest usable omega is {self._omega_max!r}"
             )
-        columns = self._columns(omegas)  # outside the errstate, so a kernel's nan warns
-        with np.errstate(invalid="ignore"):  # studies at +inf and -inf sum to nan
-            return sum(c.sum(axis=0) for c in columns)
+        return self.unchecked(omegas)
 
     def unchecked(self, omegas: np.ndarray) -> np.ndarray:
         """The same sum without the grid checks, for omegas inside a checked grid."""
-        return sum(c.sum(axis=0) for c in self._columns(omegas))
+        columns = self._columns(omegas)  # outside the errstate, so a kernel's nan warns
+        # +inf and -inf sum to nan, finite studies past the largest double to inf
+        with np.errstate(invalid="ignore", over="ignore"):
+            return sum(c.sum(axis=0) for c in columns)
 
     def _columns(self, omegas: np.ndarray) -> list[np.ndarray]:
         # every kernel is exactly 0 at tau2 = 0, so omega = 0 (and any omega whose

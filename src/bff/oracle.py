@@ -5,7 +5,8 @@ noncentral densities built from their primitive representations (an integral
 form for the noncentral t, Poisson-weighted series for the noncentral
 chi-squared and F, each summed outward from its largest term by the ratio of
 neighbouring terms), marginal likelihoods by direct quadrature against the
-priors, and two-component mixture forms of the chi-squared and F marginals.
+priors (for t over its chi-squared scale), and two-component mixture forms
+of the chi-squared and F marginals.
 Deliberately slow and redundant; it exists to catch algebra bugs in
 bayes_factors, not to serve evaluations.
 """
@@ -300,6 +301,51 @@ def _log_integral_shifted(log_integrand, ends, quad_spec: QuadratureSpec) -> flo
     return top + math.log(sum(math.exp(v - top) for v in logs))
 
 
+def _log_bf_t_scale(t: float, nu: int, tau2: float, quad_spec: QuadratureSpec) -> float:
+    """ln BF10 of a t statistic as one quadrature over its chi-squared scale s.
+
+    t = (Z + lam)/s, s = sqrt(chi2_nu/nu) (Johnson, Kotz & Balakrishnan 1995, ch. 31):
+    given s, x = s t is N(lam, 1), whose marginal under J(0, tau2), lam^2/tau2 times
+    N(0, tau2), is m(x) = N(x; 0, 1 + tau2) E[lam^2 | x]/tau2 with lam | x ~ N(v x, v),
+    v = tau2/(1 + tau2). So BF10 = int w(s) m/phi(s t) ds for w the null posterior of s:
+    in u = s sqrt(1 + t^2/nu), nu u^2 ~ chi2_{nu+1}, peaked at u = 1, and x^2 = x2 u^2.
+    """
+    lp, v, x2 = math.log1p(tau2), tau2 / (1.0 + tau2), t * t / (1.0 + t * t / nu)
+    u1 = math.sqrt((nu + t * t) / (nu + t * t / (1.0 + tau2)))  # near w m/phi's peak
+    # ln w(u) = c + nu ln u - nu u^2/2, the density of sqrt(chi2_{nu+1}/nu)
+    c = 0.5 * (nu + 1) * math.log(nu) - log_gamma(0.5 * (nu + 1)) - 0.5 * (nu - 1) * math.log(2.0)
+
+    def logs(u: float) -> tuple[float, float, float]:
+        """(ln w, ln m/phi, their sum) at u, where m/phi = e^(y/2) (1 + y)/(1 + tau2)^1.5.
+
+        y = v x^2, and y/2 - nu u^2/2 = -nu (u/u1)^2/2 is taken whole in the sum:
+        at large u, the -nu u^2/2 in ln w and the y/2 in ln m/phi nearly cancel.
+        """
+        y, lu = v * x2 * u * u, c + nu * math.log(u)
+        lr = math.log1p(y) - 1.5 * lp
+        return lu - 0.5 * nu * u * u, 0.5 * y + lr, lu - 0.5 * nu * (u / u1) ** 2 + lr
+
+    # near BF10 = 1, integrate BF10 - 1 = int w expm1(ln m/phi) in units of about its
+    # size (not below 1e-300, where a subnormal v has few bits); else BF10/e^shift.
+    # Past ln m/phi = 1, w is negligible and expm1 could overflow.
+    near_one = all(abs(logs(u)[1]) <= 1.0 for u in (1.0, u1))
+    scale, shift = max(v * (1.0 + x2), 1e-300), max(logs(u)[2] for u in (1.0, u1))
+
+    def f(u: float) -> float:
+        lw, lr, lwr = logs(u)
+        if not near_one:
+            return math.exp(lwr - shift)
+        if lr > 1.0:
+            return (math.exp(lwr) - math.exp(lw)) / scale
+        return math.exp(lw) * math.expm1(lr) / scale
+
+    # past u1 (1 + 40/sqrt(nu)) w and w m/phi are e^-700 down: ln of u^nu e^(-nu u^2/(2 u1^2))
+    # curves down by nu/u1^2 or more, and ln(1 + y) adds at most 2 ln(u/u1)
+    end, peaks = u1 * (1.0 + 40.0 / math.sqrt(nu)), [1.0, u1] if u1 > 1.0 + 1e-6 else [1.0]
+    total = integrate(f, 0.0, end, quad_spec, breakpoints=peaks)
+    return math.log1p(scale * total) if near_one else shift + math.log(total)
+
+
 def log_bf_quadrature(
     stat: TestStatistic,
     tau2: float,
@@ -307,9 +353,9 @@ def log_bf_quadrature(
 ) -> float:
     """ln BF10 = ln of the integral of p(x | lam) / p(x | 0) * pi(lam) dlam.
 
-    The prior pi is J(0, tau2) on the mean shift for z and t statistics,
-    integrated over both half-lines, and G(k/2 + 1, 1/(2 tau2)) on the
-    non-centrality for chi-squared and F, integrated over (0, inf).
+    The prior pi is J(0, tau2) on the mean shift for z, integrated over both
+    half-lines, and G(k/2 + 1, 1/(2 tau2)) on the non-centrality for chi-squared
+    and F, integrated over (0, inf). t integrates over its chi-squared scale.
     """
     if tau2 <= 0:
         raise ValueError(f"tau2 must be > 0, got {tau2}")
@@ -320,7 +366,9 @@ def log_bf_quadrature(
             f"likelihood ratio undefined: the null log density of the "
             f"{family.value} statistic {x!r} is {log_null}"
         )
-    if family in (Family.Z, Family.T):
+    if family is Family.T:
+        return _log_bf_t_scale(x, df1, tau2, quad_spec)
+    if family is Family.Z:
         prior, log_prior = NormalMomentPrior(0.0, tau2), nm_log_density
         # the posterior's spread is at most the smaller of the prior's tau
         # and the likelihood's, about 1 + |x|, and its centre is within

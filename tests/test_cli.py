@@ -204,6 +204,15 @@ class TestSingleStudyCommands:
         assert match, out
         assert float(match.group(1)) <= 1e-9
 
+    def test_oracle_on_readme_t_example(self, capsys):
+        code, out, err = run_cli(
+            capsys, "t", "--stat", "2.5", "--df", "20", "--n1", "11", "--n2", "11", "--oracle"
+        )
+        assert code == 0, err
+        match = re.search(r"oracle max \|dlog BF\| (\S+) over (\d+) grid points", out)
+        assert match, out
+        assert float(match.group(1)) <= 1e-9
+
     def test_oracle_skips_an_omega_whose_tau2_underflows(self, capsys):
         # n = 1 gives c = 0.5: omega 2.2e-162 has tau2 = 0, the point null
         code, out, err = run_cli(
@@ -761,6 +770,12 @@ def study_files(draw):
     {"family": "z", "design": "one_sample_z", "value": 1e155, "n": 1},
     {"family": "chisq", "design": "likelihood_ratio_chisq", "value": 1.0, "df1": 10**306,
      "n": 10**157, "k": 10**306},
+]})
+# three finite ln BF10 whose sum is past the largest double
+@example({"studies": [
+    {"family": "chisq", "design": "likelihood_ratio_chisq", "value": 1.3335214321633240e308,
+     "df1": 1, "n": n, "k": 1}
+    for n in (5, 12, 16)
 ]})
 def test_every_study_file_ends_in_output_or_a_named_error(tmp_path, doc):
     path = write_meta(tmp_path, doc)

@@ -275,16 +275,16 @@ class TestEvaluationCount:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        # a checked call checks its grid and then calls unchecked, so counting
-        # unchecked counts every evaluation once
+        # checked and unchecked calls alike evaluate the kernels through
+        # _columns once, so counting _columns counts every evaluation once
         count = [0]
-        original = _StudySum.unchecked
+        original = _StudySum._columns
 
         def counted(self, omegas):
             count[0] += 1
             return original(self, omegas)
 
-        monkeypatch.setattr(_StudySum, "unchecked", counted)
+        monkeypatch.setattr(_StudySum, "_columns", counted)
         return count
 
     def test_curve_then_export(self, calls):

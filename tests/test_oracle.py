@@ -19,6 +19,7 @@ from bff.bayes_factors import (
 from bff.numerics import IntegrationError, QuadratureSpec, SeriesError, integrate
 from bff.oracle import (
     NoncentralDensityQuery,
+    _DENSITIES,
     _support,
     log_bf_quadrature,
     log_density_noncentral,
@@ -426,6 +427,53 @@ class TestQuadratureBayesFactors:
         assert math.isclose(
             log_bf_quadrature(stat, 2.0), log_bf(stat, 2.0), rel_tol=1e-6, abs_tol=1e-9
         )
+
+
+def log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+class TestTScaleRoute:
+    """t statistics integrate over the chi-squared scale, not the non-centrality."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.tuples(log_uniform(1e-3, 300.0), st.sampled_from((-1.0, 1.0))).map(
+            lambda p: p[0] * p[1]
+        ),
+        log_uniform(1.0, 1e4).map(round),
+        log_uniform(1e-30, 1e30),
+    )
+    # BF10 far below 1 at a huge tau2, where log1p(BF10 - 1) leaves its domain
+    @example(0.01, 5, 1e30)
+    @example(-300.0, 10_000, 1e30)
+    # BF10 - 1 about 1e-10 over the scale, the quadrature's absolute tolerance
+    @example(-0.00154561796917777, 1547, 7.225035046153391e-06)
+    # ln m/phi near 0 at both peaks but past 709 in the tail, where expm1 overflows
+    @example(85.26871048884398, 1, 2.440424088037708)
+    # where the mass lies, ln w and ln m/phi are near -1.5e10 and +1.5e10
+    @example(1e6, 3, 1e10)
+    def test_matches_closed_form(self, t, nu, tau2):
+        stat = TestStatistic(Family.T, t, df1=nu)
+        assert math.isclose(
+            log_bf_quadrature(stat, tau2), log_bf(stat, tau2), rel_tol=1e-6, abs_tol=1e-9
+        )
+
+    @pytest.mark.parametrize("t, nu", [(2.5, 20), (-0.3, 3), (188.0, 9110)])
+    @pytest.mark.parametrize("tau2", [1e-6, 1e-30, 1e-300])
+    def test_relative_precision_near_the_point_null(self, t, nu, tau2):
+        # ln BF10 is about tau2 here: integrating BF10 - 1 in units of its own
+        # size keeps its relative precision, with no absolute floor
+        stat = TestStatistic(Family.T, t, df1=nu)
+        assert math.isclose(log_bf_quadrature(stat, tau2), log_bf(stat, tau2), rel_tol=1e-9)
+
+    def test_evaluates_no_noncentral_density(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the t route evaluated a noncentral t density")
+
+        monkeypatch.setitem(_DENSITIES, Family.T, refuse)
+        stat = TestStatistic(Family.T, 2.5, df1=20)
+        assert math.isclose(log_bf_quadrature(stat, 1.0), log_bf(stat, 1.0), rel_tol=1e-9)
 
 
 @st.composite
