@@ -5,8 +5,9 @@ noncentral densities built from their primitive representations (an integral
 form for the noncentral t, Poisson-weighted series for the noncentral
 chi-squared and F, each summed outward from its largest term by the ratio of
 neighbouring terms), marginal likelihoods by direct quadrature against the
-priors (for t over its chi-squared scale), and two-component mixture forms
-of the chi-squared and F marginals.
+priors (over the non-centrality for z and chi-squared; for F over its
+denominator's chi-squared scale, with t as its k = 1 case), and two-component
+mixture forms of the chi-squared and F marginals.
 Deliberately slow and redundant; it exists to catch algebra bugs in
 bayes_factors, not to serve evaluations.
 """
@@ -283,11 +284,14 @@ def _log_integral_shifted(log_integrand, ends, quad_spec: QuadratureSpec) -> flo
     with the argmax as a breakpoint so a sharp peak cannot fall between the
     initial quadrature nodes; the units keep the integral near 1 whatever the
     support's width, so the spec's absolute tolerance stays meaningful. Each
-    end must lie past the integrand's mass, and 1e-9 * end below its peak.
+    end must lie past the integrand's mass, and 1e-9 * end below its peak; a
+    scan whose peak is its last point is an IntegrationError.
     """
     logs = []
     for end in ends:
         shift, peak, stop = _support(log_integrand, end)
+        if peak == end:
+            raise IntegrationError(f"the support scan peaks at its last point, {end!r}")
 
         def f(u: float) -> float:
             v = log_integrand(u * peak) - shift
@@ -301,48 +305,56 @@ def _log_integral_shifted(log_integrand, ends, quad_spec: QuadratureSpec) -> flo
     return top + math.log(sum(math.exp(v - top) for v in logs))
 
 
-def _log_bf_t_scale(t: float, nu: int, tau2: float, quad_spec: QuadratureSpec) -> float:
-    """ln BF10 of a t statistic as one quadrature over its chi-squared scale s.
+def _log_bf_scale(f: float, k: int, m: int, tau2: float, quad_spec: QuadratureSpec) -> float:
+    """ln BF10 of an F statistic in one quadrature over its denominator; t is (t^2, 1, nu).
 
-    t = (Z + lam)/s, s = sqrt(chi2_nu/nu) (Johnson, Kotz & Balakrishnan 1995, ch. 31):
-    given s, x = s t is N(lam, 1), whose marginal under J(0, tau2), lam^2/tau2 times
-    N(0, tau2), is m(x) = N(x; 0, 1 + tau2) E[lam^2 | x]/tau2 with lam | x ~ N(v x, v),
-    v = tau2/(1 + tau2). So BF10 = int w(s) m/phi(s t) ds for w the null posterior of s:
-    in u = s sqrt(1 + t^2/nu), nu u^2 ~ chi2_{nu+1}, peaked at u = 1, and x^2 = x2 u^2.
+    F = (chi2_k(lam)/k)/(chi2_m/m) (Johnson, Kotz & Balakrishnan 1995, ch. 30): given V = chi2_m,
+    h = f k V/m is ||x||^2 for x ~ N(mu, I), lam = ||mu||^2, and G(k/2 + 1, 1/(2 tau2)) on lam is
+    ||mu||^2/(k tau2) times N(0, tau2 I) on mu. So with mu | x ~ N(v x, v I), v = tau2/(1 + tau2),
+    E||mu||^2 = v^2 h + k v, and h's likelihood ratio is r = (1 + tau2)^(-k/2) e^(v h/2)
+    E||mu||^2/(k tau2). BF10 is r's mean over V's null posterior, under which u = V/E[V | f] is
+    Gamma(a, a), a = (k + m)/2, and h = h0 u.
     """
-    lp, v, x2 = math.log1p(tau2), tau2 / (1.0 + tau2), t * t / (1.0 + t * t / nu)
-    u1 = math.sqrt((nu + t * t) / (nu + t * t / (1.0 + tau2)))  # near w m/phi's peak
-    # ln w(u) = c + nu ln u - nu u^2/2, the density of sqrt(chi2_{nu+1}/nu)
-    c = 0.5 * (nu + 1) * math.log(nu) - log_gamma(0.5 * (nu + 1)) - 0.5 * (nu - 1) * math.log(2.0)
+    lp, v, x = math.log1p(tau2), tau2 / (1.0 + tau2), k * f / (m + k * f)
+    a, h0, top = 0.5 * (k + m), (k + m) * x, -(0.5 * k + 1.0) * lp
+    # ln w r = (a - 1) ln u - a rho u + ln(1 + q u) + const, rho = 1 - v x, peaks at a root of
+    # a rho q u^2 + bq u - (a - 1) = 0, taken without cancellation
+    rho, q, sa = 1.0 / (1.0 + tau2) + v * m / (m + k * f), v * h0 / k, math.sqrt(a)
+    bq = a * (rho - q)
+    root = math.sqrt(bq * bq + 4.0 * a * rho * q * (a - 1.0))
+    u1 = 2.0 * (a - 1.0) / (bq + root) if bq > 0.0 else (root - bq) / (2.0 * a * rho * q)
+    # in z = sqrt(a) (u - 1), ln w = c + (a - 1) ln(1 + z/sqrt(a)) - sqrt(a) z, with
+    # c = a ln a - a - ln Gamma(a) - ln(a)/2 by Stirling past a = 1e3, where its terms cancel
+    c = -0.5 * LOG_2PI - (1.0 - 1.0 / (30.0 * a * a)) / (12.0 * a)
+    if a < 1e3:
+        c = a * math.log(a) - a - log_gamma(a) - 0.5 * math.log(a)
 
-    def logs(u: float) -> tuple[float, float, float]:
-        """(ln w, ln m/phi, their sum) at u, where m/phi = e^(y/2) (1 + y)/(1 + tau2)^1.5.
+    def logs(z: float) -> tuple[float, float, float]:
+        """(ln w, ln r, ln w r) at z; ln w r takes -a rho u whole, as -a u and v h/2 cancel."""
+        lu, qu = c + (a - 1.0) * math.log1p(z / sa), q * (1.0 + z / sa)
+        lr = top + 0.5 * k * qu + math.log1p(qu)
+        return lu - sa * z, lr, lu - sa * rho * z + 0.5 * v * h0 + top + math.log1p(qu)
 
-        y = v x^2, and y/2 - nu u^2/2 = -nu (u/u1)^2/2 is taken whole in the sum:
-        at large u, the -nu u^2/2 in ln w and the y/2 in ln m/phi nearly cancel.
-        """
-        y, lu = v * x2 * u * u, c + nu * math.log(u)
-        lr = math.log1p(y) - 1.5 * lp
-        return lu - 0.5 * nu * u * u, 0.5 * y + lr, lu - 0.5 * nu * (u / u1) ** 2 + lr
+    # near BF10 = 1, integrate BF10 - 1 = int w expm1(ln r) in units of about its size (not
+    # below 1e-300, where a subnormal v has few bits); else BF10/e^shift. Past ln r = 1, w
+    # is negligible and expm1 could overflow. u1 = 0 (a = 1) is the window's end, where ln u = -inf.
+    peaks = [0.0, sa * (u1 - 1.0)] if u1 > 0.0 else [0.0]
+    near_one = all(abs(logs(z)[1]) <= 1.0 for z in peaks)
+    scale, shift = max(v * (1.0 + h0), 1e-300), max(logs(z)[2] for z in peaks)
 
-    # near BF10 = 1, integrate BF10 - 1 = int w expm1(ln m/phi) in units of about its
-    # size (not below 1e-300, where a subnormal v has few bits); else BF10/e^shift.
-    # Past ln m/phi = 1, w is negligible and expm1 could overflow.
-    near_one = all(abs(logs(u)[1]) <= 1.0 for u in (1.0, u1))
-    scale, shift = max(v * (1.0 + x2), 1e-300), max(logs(u)[2] for u in (1.0, u1))
-
-    def f(u: float) -> float:
-        lw, lr, lwr = logs(u)
+    def g(z: float) -> float:
+        lw, lr, lwr = logs(z)
         if not near_one:
             return math.exp(lwr - shift)
         if lr > 1.0:
             return (math.exp(lwr) - math.exp(lw)) / scale
         return math.exp(lw) * math.expm1(lr) / scale
 
-    # past u1 (1 + 40/sqrt(nu)) w and w m/phi are e^-700 down: ln of u^nu e^(-nu u^2/(2 u1^2))
-    # curves down by nu/u1^2 or more, and ln(1 + y) adds at most 2 ln(u/u1)
-    end, peaks = u1 * (1.0 + 40.0 / math.sqrt(nu)), [1.0, u1] if u1 > 1.0 + 1e-6 else [1.0]
-    total = integrate(f, 0.0, end, quad_spec, breakpoints=peaks)
+    # 40 standard deviations 1/sqrt(a) below 1 and past both peaks, and 40/(a rho) more
+    # for the e^(-a rho u) tail, which is the wider at small a
+    hi = max(1.0, u1)
+    end = sa * (hi - 1.0) + 40.0 * hi + 40.0 / (sa * rho)
+    total = integrate(g, max(-sa, -40.0), end, quad_spec, breakpoints=peaks)
     return math.log1p(scale * total) if near_one else shift + math.log(total)
 
 
@@ -354,8 +366,9 @@ def log_bf_quadrature(
     """ln BF10 = ln of the integral of p(x | lam) / p(x | 0) * pi(lam) dlam.
 
     The prior pi is J(0, tau2) on the mean shift for z, integrated over both
-    half-lines, and G(k/2 + 1, 1/(2 tau2)) on the non-centrality for chi-squared
-    and F, integrated over (0, inf). t integrates over its chi-squared scale.
+    half-lines, and G(k/2 + 1, 1/(2 tau2)) on the non-centrality for chi-squared,
+    integrated over (0, inf). F integrates over its denominator's chi-squared
+    scale instead, with lam in closed form, and t is its k = 1 case, F = t^2.
     """
     if tau2 <= 0:
         raise ValueError(f"tau2 must be > 0, got {tau2}")
@@ -367,7 +380,9 @@ def log_bf_quadrature(
             f"{family.value} statistic {x!r} is {log_null}"
         )
     if family is Family.T:
-        return _log_bf_t_scale(x, df1, tau2, quad_spec)
+        return _log_bf_scale(x * x, 1, df1, tau2, quad_spec)
+    if family is Family.F:
+        return _log_bf_scale(x, df1, df2, tau2, quad_spec)
     if family is Family.Z:
         prior, log_prior = NormalMomentPrior(0.0, tau2), nm_log_density
         # the posterior's spread is at most the smaller of the prior's tau
@@ -379,14 +394,12 @@ def log_bf_quadrature(
         prior, log_prior = GammaNCPPrior(df1, tau2), gamma_log_density
         if math.isinf(prior.rate):
             raise IntegrationError(f"gamma prior rate 1/(2 tau2) overflows at tau2 {tau2!r}")
-        # the prior factor alone is e^-20(k+2) down past 40(k+2) tau2; at
-        # fixed data the noncentral density decays like e^(-lam/2) for
-        # chi-squared and e^(-lam m / (2(m + k f))) for F
-        if family is Family.CHISQ:
-            like_end = 10.0 * x + 40.0 * (df1 + 2.0) + 50.0
-        else:
-            like_end = (10.0 * df1 * x + 40.0 * (df1 + 2.0) + 50.0) * (1.0 + df1 * x / df2)
-        ends = (min(40.0 * (df1 + 2.0) * tau2, like_end),)
+        # the prior factor alone is e^-20(k+2) down past 40(k+2) tau2, and at fixed data
+        # the noncentral density decays like e^(-lam/2); where the smaller end cuts the
+        # posterior, sqrt(lam) about N(v sqrt(h), v), it moves on to 10 sd past the mode
+        end = min(40.0 * (df1 + 2.0) * tau2, 10.0 * x + 40.0 * (df1 + 2.0) + 50.0)
+        v = tau2 / (1.0 + tau2)
+        ends = (max(end, v * (math.sqrt(v * x) + 10.0) ** 2),)
 
     density = _DENSITIES[family]
 

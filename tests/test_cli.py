@@ -213,6 +213,23 @@ class TestSingleStudyCommands:
         assert match, out
         assert float(match.group(1)) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the posterior of the chi-squared non-centrality lies past the prior's end
+            ("chisq", "--stat", "1000", "--df", "1", "--n", "100", "--mapping", "multinomial"),
+            # the t scale posterior is 1e-4 wide on both sides of its peak
+            ("t", "--stat", "2.5", "--df", "99999998", "--n1", "50000000", "--n2", "50000000"),
+        ],
+        ids=["chisq-past-prior-end", "t-on-1e8-df"],
+    )
+    def test_oracle_where_the_posterior_is_far_or_narrow(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--oracle")
+        assert code == 0, err
+        match = re.search(r"oracle max \|dlog BF\| (\S+) over (\d+) grid points", out)
+        assert match, out
+        assert float(match.group(1)) <= 1e-9
+
     def test_oracle_skips_an_omega_whose_tau2_underflows(self, capsys):
         # n = 1 gives c = 0.5: omega 2.2e-162 has tau2 = 0, the point null
         code, out, err = run_cli(

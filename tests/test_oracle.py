@@ -20,6 +20,7 @@ from bff.numerics import IntegrationError, QuadratureSpec, SeriesError, integrat
 from bff.oracle import (
     NoncentralDensityQuery,
     _DENSITIES,
+    _log_integral_shifted,
     _support,
     log_bf_quadrature,
     log_density_noncentral,
@@ -388,6 +389,29 @@ class TestQuadratureBayesFactors:
             log_bf_quadrature(stat, 1e3), log_bf(stat, 1e3), rel_tol=1e-6, abs_tol=1e-9
         )
 
+    @pytest.mark.parametrize("h", [300.0, 1000.0, 1e4])
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    @pytest.mark.parametrize("tau2", [0.1, 1.0, 10.0])
+    def test_chisq_posterior_past_the_prior_end(self, h, k, tau2):
+        # sqrt(lam) is about N(v sqrt(h), v) under the posterior, which at large h
+        # lies past the prior's end 40(k+2) tau2: at tau2 1 that end cuts it from
+        # h 300 on 1 df, 600 on 3 and 2000 on 10
+        stat = TestStatistic(Family.CHISQ, h, df1=k)
+        assert math.isclose(
+            log_bf_quadrature(stat, tau2), log_bf(stat, tau2), rel_tol=1e-6, abs_tol=1e-9
+        )
+
+    def test_chisq_past_the_series_budget_is_a_named_error(self):
+        # the posterior mode, lam near 2.5e5, needs a Poisson series past max_terms;
+        # cut at the prior's end, the integral gives 13 934 against the closed form's 250 010
+        with pytest.raises(SeriesError):
+            log_bf_quadrature(TestStatistic(Family.CHISQ, 1e6, df1=3), 1.0)
+
+    def test_scan_peaking_at_its_end_is_an_integration_error(self):
+        # the integrand may still rise past the end: its mass could lie outside
+        with pytest.raises(IntegrationError, match="peaks at its last point"):
+            _log_integral_shifted(lambda x: x, (10.0,), NORM_QUAD)
+
     def test_gamma_prior_past_its_rate_is_a_compute_error(self):
         # a subnormal tau2 (omega 1e-161 at n = 1) has rate 1/(2 tau2) = inf
         with pytest.raises(IntegrationError, match="rate"):
@@ -474,6 +498,75 @@ class TestTScaleRoute:
         monkeypatch.setitem(_DENSITIES, Family.T, refuse)
         stat = TestStatistic(Family.T, 2.5, df1=20)
         assert math.isclose(log_bf_quadrature(stat, 1.0), log_bf(stat, 1.0), rel_tol=1e-9)
+
+
+class TestFScaleRoute:
+    """F statistics integrate over the denominator's chi-squared scale; t is its k = 1 case."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        log_uniform(1e-3, 300.0),
+        log_uniform(1.0, 100.0).map(round),
+        log_uniform(1.0, 1e4).map(round),
+        log_uniform(1e-30, 1e30),
+    )
+    # a near 30, rho near 1e-3: w r peaks at u 880 and 704, 3% past (a - 1)/(a rho),
+    # where it would peak without ln(1 + q u)
+    @example(177.29276551600233, 59, 3, 1175.5157278401196)
+    @example(12.330412271854053, 57, 1, 1854637080407.1262)
+    # on 1 + 1 df, 40 standard deviations past the peaks w r is only e^-16 down:
+    # its e^(-a rho u) tail needs 40/(a rho) more
+    @example(1.5903128463970595**2, 1, 1, 2.3227910480433813)
+    def test_matches_closed_form(self, f, k, m, tau2):
+        stat = TestStatistic(Family.F, f, df1=k, df2=m)
+        assert math.isclose(
+            log_bf_quadrature(stat, tau2), log_bf(stat, tau2), rel_tol=1e-6, abs_tol=1e-9
+        )
+
+    @pytest.mark.parametrize("f, k, m", [(3.2, 3, 40), (0.05, 1, 2), (40.0, 100, 9000)])
+    @pytest.mark.parametrize("tau2", [1e-6, 1e-30, 1e-300])
+    def test_relative_precision_near_the_point_null(self, f, k, m, tau2):
+        stat = TestStatistic(Family.F, f, df1=k, df2=m)
+        assert math.isclose(log_bf_quadrature(stat, tau2), log_bf(stat, tau2), rel_tol=1e-9)
+
+    def test_evaluates_no_noncentral_density(self, monkeypatch):
+        # the null density, the table's lam = 0 case, still checks the likelihood ratio
+        central = _DENSITIES[Family.F]
+
+        def refuse(f, lam, *args):
+            if lam != 0.0:
+                raise AssertionError("the F route evaluated a noncentral F density")
+            return central(f, lam, *args)
+
+        monkeypatch.setitem(_DENSITIES, Family.F, refuse)
+        stat = TestStatistic(Family.F, 3.2, df1=3, df2=40)
+        assert math.isclose(log_bf_quadrature(stat, 1.0), log_bf(stat, 1.0), rel_tol=1e-9)
+
+    @pytest.mark.parametrize("h, k", [(0.5, 1), (8.0, 3), (6.0, 10)])
+    @pytest.mark.parametrize("tau2", [0.1, 1.0, 10.0])
+    def test_large_m_meets_the_chisq_noncentrality_route(self, h, k, tau2):
+        # k F tends to chi2_k as m grows: the F route borrows the chi-squared
+        # marginal, which the noncentrality route integrates by brute force
+        f_route = log_bf_quadrature(TestStatistic(Family.F, h / k, df1=k, df2=10**8), tau2)
+        chisq_route = log_bf_quadrature(TestStatistic(Family.CHISQ, h, df1=k), tau2)
+        assert math.isclose(f_route, chisq_route, rel_tol=1e-6)
+
+    @pytest.mark.parametrize("df", [10**6, 10**8, 10**10, 10**12, 10**15])
+    @pytest.mark.parametrize("tau2", [1e-6, 1.0, 1e6])
+    def test_huge_denominator_df(self, df, tau2):
+        # the scale posterior is 1/sqrt(a) wide, 1e-4 at 1e8 df: an integral from 0
+        # with a breakpoint at the peak misses its left half there (dlog BF -ln 2)
+        for stat in (
+            TestStatistic(Family.T, 2.5, df1=df),
+            TestStatistic(Family.F, 3.0, df1=4, df2=df),
+        ):
+            closed = log_bf(stat, tau2)
+            try:
+                got = log_bf_quadrature(stat, tau2)
+            except IntegrationError:
+                assert df > 10**8
+            else:
+                assert math.isclose(got, closed, rel_tol=1e-6, abs_tol=1e-9)
 
 
 @st.composite
