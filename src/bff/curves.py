@@ -3,9 +3,9 @@
 A BFF curve is the map omega -> ln BF10 where each omega fixes the prior
 scale tau2 = c * omega^2 through the study design. This module evaluates
 single-study curves and combines independent studies by summing log Bayes
-factors at a shared omega. Every evaluation is one array expression over
-studies x omegas: the studies of each statistic family are stacked into
-columns, and one closed-form call per family covers the whole grid. One
+factors at a shared omega. Every evaluation is array expressions over
+studies x omegas: each family's studies are stacked into columns, and one
+closed-form call per family covers each block of at most 2^15 values. One
 k-section loop on the exact function refines the grid argmax and locates the
 crossings of every threshold: each round evaluates the points of all open
 brackets in one call.
@@ -29,6 +29,7 @@ _REFINE_TOL = 1e-6
 # 17-fold
 _K = 33
 _SPREAD = np.linspace(0.0, 1.0, _K + 2)  # a bracket's ends and _K interior points
+_BLOCK = 2**15  # studies x omegas per kernel call: 256 KiB temporaries, cached and reused
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,7 @@ class Study:
 
 
 class _StudySum:
-    """omegas -> sum over studies of ln BF10, one closed-form call per family."""
+    """omegas -> sum over studies of ln BF10, one closed-form call per family and block."""
 
     def __init__(self, studies: Sequence[Study]):
         groups: dict[Family, list[Study]] = {}
@@ -88,16 +89,22 @@ class _StudySum:
 
     def unchecked(self, omegas: np.ndarray) -> np.ndarray:
         """The same sum without the grid checks, for omegas inside a checked grid."""
-        columns = self._columns(omegas)  # outside the errstate, so a kernel's nan warns
-        # +inf and -inf sum to nan, finite studies past the largest double to inf
+        columns = self._columns(omegas)
         with np.errstate(invalid="ignore", over="ignore"):
-            return sum(c.sum(axis=0) for c in columns)
+            return sum(columns)
 
     def _columns(self, omegas: np.ndarray) -> list[np.ndarray]:
         # every kernel is exactly 0 at tau2 = 0, so omega = 0 (and any omega whose
         # tau2 underflows) gives the point-null limit ln BF10 = 0
-        w2 = omegas * omegas
-        return [kernel(*data, scale * w2) for kernel, data, scale in self._groups]
+        w2, sums = omegas * omegas, []
+        for kernel, data, scale in self._groups:
+            step, parts = max(_BLOCK // len(scale), 1), []
+            for j in range(0, max(w2.size, 1), step):
+                block = kernel(*data, scale * w2[j : j + step])  # outside the errstate: nan warns
+                with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is nan, big sums inf
+                    parts.append(block.sum(axis=0))
+            sums.append(parts[0] if len(parts) == 1 else np.concatenate(parts))
+        return sums
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,9 @@ noncentral densities built from their primitive representations (an integral
 form for the noncentral t, Poisson-weighted series for the noncentral
 chi-squared and F, each summed outward from its largest term by the ratio of
 neighbouring terms), marginal likelihoods by direct quadrature against the
-priors (over the non-centrality for z and chi-squared; for F over its
-denominator's chi-squared scale, with t as its k = 1 case), and two-component
-mixture forms of the chi-squared and F marginals.
+priors (over the mean shift for z, after a support scan; over sqrt(lam) in posterior
+sds for chi-squared, with no scan; for F over its denominator's chi-squared scale,
+with t as its k = 1 case), and two-component mixture forms of the marginals.
 Deliberately slow and redundant; it exists to catch algebra bugs in
 bayes_factors, not to serve evaluations.
 """
@@ -35,13 +35,13 @@ from .priors import (
     LOG_2PI,
     GammaNCPPrior,
     NormalMomentPrior,
-    gamma_log_density,
     gamma_logpdf,
     nm_log_density,
 )
 
 # a geometric scan from 1e-9 * end to end, as fractions of the end
 _SCAN = np.geomspace(1e-9, 1.0, 101)
+_CHISQ_SDS = 12.0  # the chi-squared window's half-width in posterior sds, past sqrt(k + 1)
 
 
 @dataclass(frozen=True)
@@ -249,7 +249,7 @@ def log_density_noncentral(
 
 
 def _support(log_integrand, end: float) -> tuple[float, float, float]:
-    """(shift, peak, stop) of a unimodal log_integrand along end * _SCAN.
+    """(shift, peak, stop) of a unimodal log_integrand along end * _SCAN; z's support scan.
 
     The scan keeps the running maximum shift at peak and stops at the first
     point e^-40 below it (stop = end if none). A coarse pass over every 10th
@@ -274,11 +274,11 @@ def _support(log_integrand, end: float) -> tuple[float, float, float]:
 
 
 def _log_integral_shifted(log_integrand, ends, quad_spec: QuadratureSpec) -> float:
-    """ln of the sum over ends of the integral of exp(log_integrand) from 0 to end.
+    """ln of the sum over ends of the integral of exp(log_integrand) from 0 to end; z's route.
 
     The integrand vanishes at 0 and is unimodal toward each end, so a
-    geometric scan from 0 finds its support (`_support`). The prior decays at
-    least exponentially, so the tail cut at the scan's stop is about 1e-16 of
+    geometric scan from 0 finds its support (`_support`). The prior decays
+    like a normal, so the tail cut at the scan's stop is about 1e-16 of
     the integral, below any tolerance in use. The piece from 0 to that stop is
     integrated in units of the scan's argmax, rescaled by the scan maximum,
     with the argmax as a breakpoint so a sharp peak cannot fall between the
@@ -358,6 +358,37 @@ def _log_bf_scale(f: float, k: int, m: int, tau2: float, quad_spec: QuadratureSp
     return math.log1p(scale * total) if near_one else shift + math.log(total)
 
 
+def _gamma_root_log_density(prior: GammaNCPPrior) -> tuple[float, float]:
+    """(c, rate) with ln of pi(s^2) 2s = c + (k + 1) ln s - rate s^2: the prior in s = sqrt(lam)."""
+    return prior.shape * math.log(prior.rate) - math.lgamma(prior.shape) + math.log(2.0), prior.rate
+
+
+def _log_bf_chisq_root(h: float, k: int, tau2: float, log_null: float, quad_spec) -> float:
+    """ln BF10 of a chi-squared statistic in one quadrature over s = sqrt(lam), in posterior sds.
+
+    s is about N(v sqrt(h), v) at large h, v = tau2/(1 + tau2), so p(h | s^2)/p(h | 0) pi(s^2) 2s
+    runs in z = (s - s_m)/sqrt(v), s_m the mode of s^(k+1) e^(s sqrt(h) - s^2/(2v)), shifted and
+    split there, 12 + sqrt(k + 1) each side, clipped at s = 0. Its log-curvature in s is at most
+    -1/v: tails past 12 sds are below e^-72, and an end off s = 0 within e^-40 of the shift raises.
+    """
+    (c, rate), v = _gamma_root_log_density(GammaNCPPrior(k, tau2)), tau2 / (1.0 + tau2)
+    if math.isinf(rate):
+        raise IntegrationError(f"gamma prior rate 1/(2 tau2) overflows at tau2 {tau2!r}")
+    sv, c, density = math.sqrt(v), c + 0.5 * math.log(v) - log_null, _DENSITIES[Family.CHISQ]
+    sm = 0.5 * (v * math.sqrt(h) + math.sqrt(v * v * h + 4.0 * v * (k + 1.0)))
+
+    def log_integrand(z: float) -> float:
+        s = sm + sv * z  # > 0, as quadrature nodes lie inside the window
+        return density(h, s * s, k, None, quad_spec) + c + (k + 1.0) * math.log(s) - rate * s * s
+
+    shift, half = log_integrand(0.0), _CHISQ_SDS + math.sqrt(k + 1.0)
+    lo = max(-half, -sm / sv)
+    if any(end > -sm / sv and not log_integrand(end) < shift - 40.0 for end in (lo, half)):
+        raise IntegrationError(f"the integrand holds mass past its window of {half:.4g} sds")
+    total = integrate(lambda z: math.exp(log_integrand(z) - shift), lo, half, quad_spec, [0.0])
+    return shift + math.log(total)
+
+
 def log_bf_quadrature(
     stat: TestStatistic,
     tau2: float,
@@ -365,10 +396,10 @@ def log_bf_quadrature(
 ) -> float:
     """ln BF10 = ln of the integral of p(x | lam) / p(x | 0) * pi(lam) dlam.
 
-    The prior pi is J(0, tau2) on the mean shift for z, integrated over both
-    half-lines, and G(k/2 + 1, 1/(2 tau2)) on the non-centrality for chi-squared,
-    integrated over (0, inf). F integrates over its denominator's chi-squared
-    scale instead, with lam in closed form, and t is its k = 1 case, F = t^2.
+    The prior pi is J(0, tau2) on the mean shift for z, over both half-lines after a
+    support scan, and G(k/2 + 1, 1/(2 tau2)) on the non-centrality for chi-squared, over
+    s = sqrt(lam) in posterior sds with no scan. F integrates over its denominator's
+    chi-squared scale instead, with lam in closed form, and t is its k = 1 case, F = t^2.
     """
     if tau2 <= 0:
         raise ValueError(f"tau2 must be > 0, got {tau2}")
@@ -383,30 +414,17 @@ def log_bf_quadrature(
         return _log_bf_scale(x * x, 1, df1, tau2, quad_spec)
     if family is Family.F:
         return _log_bf_scale(x, df1, df2, tau2, quad_spec)
-    if family is Family.Z:
-        prior, log_prior = NormalMomentPrior(0.0, tau2), nm_log_density
-        # the posterior's spread is at most the smaller of the prior's tau
-        # and the likelihood's, about 1 + |x|, and its centre is within
-        # about |x| min(1, tau2) of 0
-        span = 50.0 * (1.0 + abs(x)) * min(1.0, math.sqrt(tau2))
-        ends = (-span, span)
-    else:
-        prior, log_prior = GammaNCPPrior(df1, tau2), gamma_log_density
-        if math.isinf(prior.rate):
-            raise IntegrationError(f"gamma prior rate 1/(2 tau2) overflows at tau2 {tau2!r}")
-        # the prior factor alone is e^-20(k+2) down past 40(k+2) tau2, and at fixed data
-        # the noncentral density decays like e^(-lam/2); where the smaller end cuts the
-        # posterior, sqrt(lam) about N(v sqrt(h), v), it moves on to 10 sd past the mode
-        end = min(40.0 * (df1 + 2.0) * tau2, 10.0 * x + 40.0 * (df1 + 2.0) + 50.0)
-        v = tau2 / (1.0 + tau2)
-        ends = (max(end, v * (math.sqrt(v * x) + 10.0) ** 2),)
-
-    density = _DENSITIES[family]
+    if family is Family.CHISQ:
+        return _log_bf_chisq_root(x, df1, tau2, log_null, quad_spec)
+    prior, density = NormalMomentPrior(0.0, tau2), _DENSITIES[Family.Z]
+    # the posterior's spread is at most the smaller of the prior's tau and the
+    # likelihood's, about 1 + |x|, and its centre is within about |x| min(1, tau2) of 0
+    span = 50.0 * (1.0 + abs(x)) * min(1.0, math.sqrt(tau2))
 
     def log_integrand(lam: float) -> float:
-        return density(x, lam, df1, df2, quad_spec) - log_null + log_prior(prior, lam)
+        return density(x, lam, df1, df2, quad_spec) - log_null + nm_log_density(prior, lam)
 
-    return _log_integral_shifted(log_integrand, ends, quad_spec)
+    return _log_integral_shifted(log_integrand, (-span, span), quad_spec)
 
 
 def log_marginal_mixture_chisq(h: float, k: int, tau2: float) -> float:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bff import curves
 from bff.bayes_factors import Family, TestStatistic, log_bf
 from bff.curves import (
     BFFCurve,
@@ -297,6 +298,19 @@ class TestEvaluationCount:
             export = build_export(curve, thresholds)
             assert calls[0] <= 3
             assert [len(b.crossings) for b in export.summary.thresholds] == counts
+
+
+class TestBlockedSweep:
+    """Kernels run on blocks of studies x omegas; each column is summed on its own."""
+
+    @pytest.mark.parametrize("block", [1, 7, 600])
+    def test_blocks_are_bit_identical_to_one_call(self, block, monkeypatch):
+        members = [Z_STUDY, CHISQ_STUDY, F_ORIGINAL, F_REPLICATION] * 3
+        omegas = np.linspace(0.0, 2.0, 257)
+        whole = _StudySum(members)(omegas)
+        monkeypatch.setattr(curves, "_BLOCK", block)
+        assert _StudySum(members)(omegas).tobytes() == whole.tobytes()
+        assert _StudySum(members)(omegas[:0]).shape == (0,)
 
 
 @st.composite

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
+import bff.oracle
 from bff.bayes_factors import (
     Family,
     TestStatistic,
@@ -20,6 +21,7 @@ from bff.numerics import IntegrationError, QuadratureSpec, SeriesError, integrat
 from bff.oracle import (
     NoncentralDensityQuery,
     _DENSITIES,
+    _gamma_root_log_density,
     _log_integral_shifted,
     _support,
     log_bf_quadrature,
@@ -29,6 +31,7 @@ from bff.oracle import (
     log_marginal_mixture_f,
     noncentral_t_log_density_series,
 )
+from bff.priors import GammaNCPPrior, gamma_log_density
 
 NORM_QUAD = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-8, max_subdivisions=2000)
 ORACLE_POOL = Path(__file__).resolve().parent.parent / "bench" / "refs" / "oracle.json"
@@ -389,22 +392,22 @@ class TestQuadratureBayesFactors:
             log_bf_quadrature(stat, 1e3), log_bf(stat, 1e3), rel_tol=1e-6, abs_tol=1e-9
         )
 
-    @pytest.mark.parametrize("h", [300.0, 1000.0, 1e4])
+    @pytest.mark.parametrize("h", [300.0, 1000.0, 1e4, 3e4, 1e5])
     @pytest.mark.parametrize("k", [1, 3, 10])
     @pytest.mark.parametrize("tau2", [0.1, 1.0, 10.0])
     def test_chisq_posterior_past_the_prior_end(self, h, k, tau2):
-        # sqrt(lam) is about N(v sqrt(h), v) under the posterior, which at large h
-        # lies past the prior's end 40(k+2) tau2: at tau2 1 that end cuts it from
-        # h 300 on 1 df, 600 on 3 and 2000 on 10
+        # sqrt(lam) is about N(v sqrt(h), v) under the posterior: at large h far past the
+        # prior's bulk, 40(k+2) tau2, and only 1/sqrt(h) of its centre wide (0.3% at h 1e5),
+        # finer than a fixed geometric scan of lam
         stat = TestStatistic(Family.CHISQ, h, df1=k)
         assert math.isclose(
             log_bf_quadrature(stat, tau2), log_bf(stat, tau2), rel_tol=1e-6, abs_tol=1e-9
         )
 
     def test_chisq_past_the_series_budget_is_a_named_error(self):
-        # the posterior mode, lam near 2.5e5, needs a Poisson series past max_terms;
-        # cut at the prior's end, the integral gives 13 934 against the closed form's 250 010
-        with pytest.raises(SeriesError):
+        # the posterior mode, lam near 2.5e5, needs a Poisson series whose own mode,
+        # near 2.5e5 terms, lies past max_terms
+        with pytest.raises(SeriesError, match="past max_terms"):
             log_bf_quadrature(TestStatistic(Family.CHISQ, 1e6, df1=3), 1.0)
 
     def test_scan_peaking_at_its_end_is_an_integration_error(self):
@@ -455,6 +458,52 @@ class TestQuadratureBayesFactors:
 
 def log_uniform(lo: float, hi: float):
     return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+class TestChisqRootRoute:
+    """Chi-squared statistics integrate over sqrt(lam) in posterior sds, with no support scan."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(log_uniform(1e-3, 1e5), log_uniform(1.0, 1e3).map(round), log_uniform(1e-30, 1e30))
+    def test_matches_closed_form(self, h, k, tau2):
+        stat = TestStatistic(Family.CHISQ, h, df1=k)
+        assert math.isclose(
+            log_bf_quadrature(stat, tau2), log_bf_chisq(h, k, tau2), rel_tol=1e-6, abs_tol=1e-9
+        )
+
+    @pytest.mark.parametrize("k", [1, 4, 1000])
+    @pytest.mark.parametrize("tau2", [1e-30, 1e-3, 1.0, 1e30])
+    def test_hoisted_prior_is_the_gamma_density(self, k, tau2):
+        prior = GammaNCPPrior(k, tau2)
+        c, rate = _gamma_root_log_density(prior)
+        for s in (1e-3, 0.5, 1.0, 7.0, 300.0):
+            s *= math.sqrt(tau2)
+            expected = gamma_log_density(prior, s * s) + math.log(2.0 * s)
+            got = c + (k + 1.0) * math.log(s) - rate * s * s
+            assert math.isclose(got, expected, rel_tol=1e-12, abs_tol=1e-9)
+
+    @pytest.mark.parametrize("h, k", [(1e3, 1), (0.5, 3)])
+    def test_window_end_with_mass_is_an_integration_error(self, h, k, monkeypatch):
+        # sqrt(k + 1) posterior sds each side of the mode cut off much of the mass
+        monkeypatch.setattr(bff.oracle, "_CHISQ_SDS", 0.0)
+        with pytest.raises(IntegrationError, match="mass past its window"):
+            log_bf_quadrature(TestStatistic(Family.CHISQ, h, df1=k), 1.0)
+
+    def test_only_z_runs_through_the_support_scan(self, monkeypatch):
+        calls = []
+        scan = bff.oracle._log_integral_shifted
+
+        def counted(log_integrand, ends, quad_spec):
+            calls.append(ends)
+            return scan(log_integrand, ends, quad_spec)
+
+        monkeypatch.setattr(bff.oracle, "_log_integral_shifted", counted)
+        stat = TestStatistic(Family.CHISQ, 12.65, df1=6)
+        assert math.isclose(log_bf_quadrature(stat, 1.0), log_bf(stat, 1.0), rel_tol=1e-9)
+        assert not calls
+        stat = TestStatistic(Family.Z, 2.0)
+        assert math.isclose(log_bf_quadrature(stat, 1.0), log_bf(stat, 1.0), rel_tol=1e-9)
+        assert len(calls) == 1
 
 
 class TestTScaleRoute:
