@@ -125,7 +125,9 @@ def integrate(
         points=inside or None,
     )
     if len(out) > 3:
-        raise IntegrationError(f"quadrature on ({lower}, {upper}) failed: {out[3]}")
+        # scipy's first sentence, wrapped over lines, names the failure; the rest is advice
+        first = " ".join(out[3].split()).split(". ")[0].rstrip(".")
+        raise IntegrationError(f"quadrature on ({lower}, {upper}) failed: {first}")
     result, err_estimate = out[0], out[1]
     if err_estimate > max(spec.abs_tol, spec.rel_tol * abs(result)):
         raise IntegrationError(

@@ -1,21 +1,19 @@
 """Brute-force verification of the closed-form Bayes factors.
 
 Everything here recomputes Bayes factors from first principles: null and
-noncentral densities built from their primitive representations (an integral
-form for the noncentral t, Poisson-weighted series for the noncentral
-chi-squared and F, each summed outward from its largest term by the ratio of
-neighbouring terms), marginal likelihoods by direct quadrature against the
-priors (over the mean shift for z, after a support scan; over sqrt(lam) in posterior
-sds for chi-squared, with no scan; for F over its denominator's chi-squared scale,
-with t as its k = 1 case), and two-component mixture forms of the marginals.
-Deliberately slow and redundant; it exists to catch algebra bugs in
-bayes_factors, not to serve evaluations.
+noncentral densities built from their primitive representations (Poisson-weighted
+series for the noncentral chi-squared and F, each summed outward from its largest
+term by the ratio of neighbouring terms), marginal likelihoods by direct quadrature
+against the priors, and two-component mixture forms of the marginals. Every
+quadrature runs through one window in posterior sds (`_log_bf_window`): z over the
+mean shift, chi-squared over sqrt(lam), and F over its denominator's chi-squared
+scale, with t as its k = 1 case. Deliberately slow and redundant; it exists to
+catch algebra bugs in bayes_factors, not to serve evaluations.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,36 +27,11 @@ from .numerics import (
     integrate,
     log_beta,
     log_gamma,
-    sum_series,
 )
-from .priors import (
-    LOG_2PI,
-    GammaNCPPrior,
-    NormalMomentPrior,
-    gamma_logpdf,
-    nm_log_density,
-)
+from .priors import LOG_2PI, GammaNCPPrior, gamma_logpdf
 
-# a geometric scan from 1e-9 * end to end, as fractions of the end
-_SCAN = np.geomspace(1e-9, 1.0, 101)
-_CHISQ_SDS = 12.0  # the chi-squared window's half-width in posterior sds, past sqrt(k + 1)
-
-
-@dataclass(frozen=True)
-class NoncentralDensityQuery:
-    """A point query against a noncentral sampling density."""
-
-    family: Family
-    value: float
-    lam: float
-    df1: int | None = None
-    df2: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.family in (Family.CHISQ, Family.F) and self.lam < 0:
-            raise ValueError(
-                f"{self.family.value} non-centrality must be >= 0, got {self.lam}"
-            )
+_WINDOW_SDS = 12.0  # a window's half-width in posterior sds, past sqrt(k + 1) (z: k = 2)
+_LN2 = math.log(2.0)
 
 
 def log_density_null(
@@ -66,7 +39,7 @@ def log_density_null(
 ) -> float:
     """Null log density: the noncentral one at lam = 0, but a closed form for t."""
     if family is not Family.T:
-        return _DENSITIES[family](value, 0.0, df1, df2, DEFAULT_QUADRATURE)
+        return _DENSITIES[family](value, 0.0, df1, df2)
     nu = df1
     return (
         log_gamma(0.5 * (nu + 1))
@@ -76,85 +49,10 @@ def log_density_null(
     )
 
 
-def _nz_log_density(z: float, lam: float, df1, df2, quad_spec: QuadratureSpec) -> float:
+def _nz_log_density(z: float, lam: float, df1, df2) -> float:
     """Normal log density of z around lam, unit variance."""
     d = z - lam
     return -0.5 * LOG_2PI - 0.5 * d * d
-
-
-def _nct_log_density_integral(
-    t: float, lam: float, nu: int, df2, quad_spec: QuadratureSpec
-) -> float:
-    """Noncentral t log density from its single-integral representation.
-
-    f(t | nu, lam) = c * exp(-nu lam^2 / (2 d^2))
-                       * int_0^inf y^nu exp(-(y - lam t / d)^2 / 2) dy
-    with d = sqrt(t^2 + nu) and
-    c = nu^(nu/2) / (sqrt(pi) Gamma(nu/2) d^(nu+1) 2^((nu-1)/2)).
-    """
-    d = math.sqrt(t * t + nu)
-    b = lam * t / d
-    log_c = (
-        0.5 * nu * math.log(nu)
-        - 0.5 * math.log(math.pi)
-        - log_gamma(0.5 * nu)
-        - (nu + 1) * math.log(d)
-        - 0.5 * (nu - 1) * math.log(2.0)
-    )
-    # peak of nu*ln(y) - (y-b)^2/2; the curvature there is at least 1, so
-    # 15 units past the peak the integrand is down by more than e^-100
-    y_star = 0.5 * (b + math.sqrt(b * b + 4.0 * nu))
-    shift = nu * math.log(y_star) - 0.5 * (y_star - b) ** 2
-
-    def integrand(y: float) -> float:
-        if y <= 0.0:
-            return 0.0
-        return math.exp(nu * math.log(y) - 0.5 * (y - b) ** 2 - shift)
-
-    total = integrate(integrand, 0.0, y_star + 15.0, quad_spec, breakpoints=[y_star])
-    return log_c + shift + math.log(total) - 0.5 * nu * lam * lam / (d * d)
-
-
-def noncentral_t_log_density_series(t: float, nu: int, lam: float) -> float:
-    """Noncentral t log density from its power-series representation.
-
-    An independent route to the density that log_density_noncentral takes
-    through its integral form; the two are checked against each other.
-
-    f(t | nu, lam) = nu^(nu/2) e^(-lam^2/2) / (sqrt(pi) Gamma(nu/2) d^(nu+1))
-                       * sum_j Gamma((nu+j+1)/2) / j! * (sqrt(2) lam t / d)^j
-    """
-    d = math.sqrt(t * t + nu)
-    a = math.sqrt(2.0) * lam * t / d
-    log_front = (
-        0.5 * nu * math.log(nu)
-        - 0.5 * lam * lam
-        - 0.5 * math.log(math.pi)
-        - log_gamma(0.5 * nu)
-        - (nu + 1) * math.log(d)
-    )
-    if a == 0.0:
-        return log_front + log_gamma(0.5 * (nu + 1))
-
-    def log_abs_term(j: int) -> float:
-        return log_gamma(0.5 * (nu + j + 1)) - log_gamma(j + 1.0) + j * math.log(abs(a))
-
-    # terms rise before they fall; scale by the largest magnitude so the
-    # guarded linear-space summation neither overflows nor stops early
-    peak, cap = int(a * a) + 10, DEFAULT_SERIES.max_terms
-    if peak > cap:
-        raise SeriesError(f"series needs {peak} terms, over max_terms {cap}")
-    spec = replace(DEFAULT_SERIES, min_terms=max(DEFAULT_SERIES.min_terms, peak))
-    shift = max(log_abs_term(j) for j in range(peak + 1))
-    sign = -1.0 if a < 0 else 1.0
-
-    def term(j: int) -> float:
-        return (sign**j) * math.exp(log_abs_term(j) - shift)
-
-    total = sum_series(term, spec)
-    if total <= 0.0:
-        raise ArithmeticError("noncentral t series lost all precision to cancellation")
-    return log_front + shift + math.log(total)
 
 
 def _poisson_series_log_density(
@@ -194,7 +92,7 @@ def _poisson_series_log_density(
     return log_weight + central_logpdf(mode) + math.log(total)
 
 
-def _ncx2_log_density(h: float, lam: float, k: int, df2, quad_spec: QuadratureSpec) -> float:
+def _ncx2_log_density(h: float, lam: float, k: int, df2) -> float:
     """Noncentral chi-squared log density as a Poisson mixture of central ones."""
     if h < 0:
         raise ValueError(f"chi-squared statistic must be >= 0, got {h}")
@@ -206,7 +104,7 @@ def _ncx2_log_density(h: float, lam: float, k: int, df2, quad_spec: QuadratureSp
     return _poisson_series_log_density(lam, central, 0.5 * k, 0.25 * lam * h, 0.0)
 
 
-def _ncf_log_density(f: float, lam: float, k: int, m: int, quad_spec: QuadratureSpec) -> float:
+def _ncf_log_density(f: float, lam: float, k: int, m: int) -> float:
     """Noncentral F log density as a Poisson-weighted series.
 
     Term r carries the central F(k + 2r, m) density rescaled to the
@@ -232,77 +130,54 @@ def _ncf_log_density(f: float, lam: float, k: int, m: int, quad_spec: Quadrature
     return _poisson_series_log_density(lam, central, 0.5 * k, 0.5 * (k + m) * a, a)
 
 
-# each family's noncentral log density, as f(x, lam, df1, df2, quad_spec)
+# the noncentral log density of each family but t, whose null is a closed form, as
+# f(x, lam, df1, df2)
 _DENSITIES = {
     Family.Z: _nz_log_density,
-    Family.T: _nct_log_density_integral,
     Family.CHISQ: _ncx2_log_density,
     Family.F: _ncf_log_density,
 }
 
 
-def log_density_noncentral(
-    q: NoncentralDensityQuery, quad_spec: QuadratureSpec = DEFAULT_QUADRATURE
-) -> float:
-    """Log density of the statistic at non-centrality lam."""
-    return _DENSITIES[q.family](q.value, q.lam, q.df1, q.df2, quad_spec)
+def _log_bf_window(logs, peaks, lo, hi, scale, quad_spec: QuadratureSpec) -> float:
+    """ln BF10 = ln of the integral of w r over (lo, hi), in a posterior's sds; every route's tail.
 
-
-def _support(log_integrand, end: float) -> tuple[float, float, float]:
-    """(shift, peak, stop) of a unimodal log_integrand along end * _SCAN; z's support scan.
-
-    The scan keeps the running maximum shift at peak and stops at the first
-    point e^-40 below it (stop = end if none). A coarse pass over every 10th
-    point lands at most 9 points right of the argmax, so a fine pass from 9
-    points left of the coarse one finds what a scan from the first would.
+    logs(z) is (ln w, ln r, ln w r): w the prior's weight and r the likelihood ratio. The window
+    holds the mass of w r and its peaks are breakpoints. Near BF10 = 1, with |ln r| <= 1 at
+    every peak and w's own mass inside the window (ln w at hi 40 below its value at a peak),
+    the integral is BF10 - 1 = int w expm1(ln r), in units of scale, about its size (not below
+    1e-300, where a subnormal tau2 has few bits); past ln r = 1 there w is negligible and expm1
+    could overflow. Otherwise, or with no scale, it is BF10/e^shift, shift the peaks' largest
+    ln w r. A window end that is not finite, a total that is not positive or an exponential
+    that overflows is an IntegrationError.
     """
-    xs = (end * _SCAN).tolist()
-    first = 0
-    for step in (10, 1):
-        shift, peak, stop = -math.inf, xs[0], end
-        for x in xs[first::step]:
-            v = log_integrand(x)
-            if v > shift:
-                shift, peak = v, x
-            elif v < shift - 40.0:
-                stop = x
-                break
-        first = max(0, xs.index(peak) - 9)
-    if shift == -math.inf:
-        raise IntegrationError(f"integrand is not finite anywhere on (0, {end!r})")
-    return shift, peak, stop
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise IntegrationError(f"the quadrature window ({lo!r}, {hi!r}) has an end at inf")
+    at = [logs(z) for z in peaks]
+    shift = max(lwr for _, _, lwr in at)
+    near_one = (
+        scale is not None
+        and all(abs(lr) <= 1.0 for _, lr, _ in at)
+        and logs(hi)[0] < max(lw for lw, _, _ in at) - 40.0
+    )
 
+    def g(z: float) -> float:
+        lw, lr, lwr = logs(z)
+        if not near_one:
+            return math.exp(lwr - shift)
+        if lr > 1.0:
+            return (math.exp(lwr) - math.exp(lw)) / scale
+        return math.exp(lw) * math.expm1(lr) / scale
 
-def _log_integral_shifted(log_integrand, ends, quad_spec: QuadratureSpec) -> float:
-    """ln of the sum over ends of the integral of exp(log_integrand) from 0 to end; z's route.
-
-    The integrand vanishes at 0 and is unimodal toward each end, so a
-    geometric scan from 0 finds its support (`_support`). The prior decays
-    like a normal, so the tail cut at the scan's stop is about 1e-16 of
-    the integral, below any tolerance in use. The piece from 0 to that stop is
-    integrated in units of the scan's argmax, rescaled by the scan maximum,
-    with the argmax as a breakpoint so a sharp peak cannot fall between the
-    initial quadrature nodes; the units keep the integral near 1 whatever the
-    support's width, so the spec's absolute tolerance stays meaningful. Each
-    end must lie past the integrand's mass, and 1e-9 * end below its peak; a
-    scan whose peak is its last point is an IntegrationError.
-    """
-    logs = []
-    for end in ends:
-        shift, peak, stop = _support(log_integrand, end)
-        if peak == end:
-            raise IntegrationError(f"the support scan peaks at its last point, {end!r}")
-
-        def f(u: float) -> float:
-            v = log_integrand(u * peak) - shift
-            return math.exp(v) if v > -745.0 else 0.0
-
-        total = integrate(f, 0.0, stop / peak, quad_spec, breakpoints=[1.0])
-        if total <= 0.0:
-            raise IntegrationError("integral of a positive integrand came out <= 0")
-        logs.append(shift + math.log(total * abs(peak)))
-    top = max(logs)
-    return top + math.log(sum(math.exp(v - top) for v in logs))
+    try:
+        total = integrate(g, lo, hi, quad_spec, breakpoints=peaks)
+    except OverflowError as e:
+        raise IntegrationError(f"exp of the integrand overflows on ({lo!r}, {hi!r})") from e
+    if near_one and scale * total > -1.0:
+        return math.log1p(scale * total)
+    if not near_one and total > 0.0:
+        return shift + math.log(total)
+    raise IntegrationError(f"BF10 over the window ({lo!r}, {hi!r}) came out <= 0")
 
 
 def _log_bf_scale(f: float, k: int, m: int, tau2: float, quad_spec: QuadratureSpec) -> float:
@@ -335,27 +210,12 @@ def _log_bf_scale(f: float, k: int, m: int, tau2: float, quad_spec: QuadratureSp
         lr = top + 0.5 * k * qu + math.log1p(qu)
         return lu - sa * z, lr, lu - sa * rho * z + 0.5 * v * h0 + top + math.log1p(qu)
 
-    # near BF10 = 1, integrate BF10 - 1 = int w expm1(ln r) in units of about its size (not
-    # below 1e-300, where a subnormal v has few bits); else BF10/e^shift. Past ln r = 1, w
-    # is negligible and expm1 could overflow. u1 = 0 (a = 1) is the window's end, where ln u = -inf.
-    peaks = [0.0, sa * (u1 - 1.0)] if u1 > 0.0 else [0.0]
-    near_one = all(abs(logs(z)[1]) <= 1.0 for z in peaks)
-    scale, shift = max(v * (1.0 + h0), 1e-300), max(logs(z)[2] for z in peaks)
-
-    def g(z: float) -> float:
-        lw, lr, lwr = logs(z)
-        if not near_one:
-            return math.exp(lwr - shift)
-        if lr > 1.0:
-            return (math.exp(lwr) - math.exp(lw)) / scale
-        return math.exp(lw) * math.expm1(lr) / scale
-
     # 40 standard deviations 1/sqrt(a) below 1 and past both peaks, and 40/(a rho) more
-    # for the e^(-a rho u) tail, which is the wider at small a
-    hi = max(1.0, u1)
-    end = sa * (hi - 1.0) + 40.0 * hi + 40.0 / (sa * rho)
-    total = integrate(g, max(-sa, -40.0), end, quad_spec, breakpoints=peaks)
-    return math.log1p(scale * total) if near_one else shift + math.log(total)
+    # for the e^(-a rho u) tail, which is the wider at small a. u1 = 0 (a = 1) is the
+    # window's start, where ln u = -inf.
+    peaks, hi = [0.0, sa * (u1 - 1.0)] if u1 > 0.0 else [0.0], max(1.0, u1)
+    end, scale = sa * (hi - 1.0) + 40.0 * hi + 40.0 / (sa * rho), max(v * (1.0 + h0), 1e-300)
+    return _log_bf_window(logs, peaks, max(-sa, -40.0), end, scale, quad_spec)
 
 
 def _gamma_root_log_density(prior: GammaNCPPrior) -> tuple[float, float]:
@@ -367,26 +227,66 @@ def _log_bf_chisq_root(h: float, k: int, tau2: float, log_null: float, quad_spec
     """ln BF10 of a chi-squared statistic in one quadrature over s = sqrt(lam), in posterior sds.
 
     s is about N(v sqrt(h), v) at large h, v = tau2/(1 + tau2), so p(h | s^2)/p(h | 0) pi(s^2) 2s
-    runs in z = (s - s_m)/sqrt(v), s_m the mode of s^(k+1) e^(s sqrt(h) - s^2/(2v)), shifted and
-    split there, 12 + sqrt(k + 1) each side, clipped at s = 0. Its log-curvature in s is at most
-    -1/v: tails past 12 sds are below e^-72, and an end off s = 0 within e^-40 of the shift raises.
+    runs in z = (s - s_m)/sqrt(v), s_m the mode of s^(k+1) e^(s sqrt(h) - s^2/(2v)), split
+    there, 12 + sqrt(k + 1) each side, clipped at s = 0. Its log-curvature in s is at most
+    -1/v: tails past 12 sds are below e^-72, and an end off s = 0 within e^-40 of the peak raises.
+    It takes no near-one scale: ln r is a difference of two series logs, with about 1e-15
+    absolute noise, and integrating w expm1(ln r) through that noise where BF10 - 1 is about
+    tau2 ends in roundoff (tau2 1e-12) or loses ln BF10 altogether (tau2 1e-30).
     """
     (c, rate), v = _gamma_root_log_density(GammaNCPPrior(k, tau2)), tau2 / (1.0 + tau2)
     if math.isinf(rate):
         raise IntegrationError(f"gamma prior rate 1/(2 tau2) overflows at tau2 {tau2!r}")
-    sv, c, density = math.sqrt(v), c + 0.5 * math.log(v) - log_null, _DENSITIES[Family.CHISQ]
+    sv, c, density = math.sqrt(v), c + 0.5 * math.log(v), _DENSITIES[Family.CHISQ]
     sm = 0.5 * (v * math.sqrt(h) + math.sqrt(v * v * h + 4.0 * v * (k + 1.0)))
 
-    def log_integrand(z: float) -> float:
+    def logs(z: float) -> tuple[float, float, float]:
         s = sm + sv * z  # > 0, as quadrature nodes lie inside the window
-        return density(h, s * s, k, None, quad_spec) + c + (k + 1.0) * math.log(s) - rate * s * s
+        lw, lr = c + (k + 1.0) * math.log(s) - rate * s * s, density(h, s * s, k, None) - log_null
+        return lw, lr, lw + lr
 
-    shift, half = log_integrand(0.0), _CHISQ_SDS + math.sqrt(k + 1.0)
+    peak, half = logs(0.0)[2], _WINDOW_SDS + math.sqrt(k + 1.0)
     lo = max(-half, -sm / sv)
-    if any(end > -sm / sv and not log_integrand(end) < shift - 40.0 for end in (lo, half)):
+    if any(end > -sm / sv and not logs(end)[2] < peak - 40.0 for end in (lo, half)):
         raise IntegrationError(f"the integrand holds mass past its window of {half:.4g} sds")
-    total = integrate(lambda z: math.exp(log_integrand(z) - shift), lo, half, quad_spec, [0.0])
-    return shift + math.log(total)
+    return _log_bf_window(logs, [0.0], lo, half, None, quad_spec)
+
+
+def _nm_root_log_density(tau2: float) -> tuple[float, float]:
+    """(c, rate) with ln of J(0, tau2) in rho = lam/sqrt(v) = c + 2 ln rho - rate rho^2.
+
+    That is rho^2/(1 + tau2) phi(rho/sqrt(1 + tau2))/sqrt(1 + tau2), v = tau2/(1 + tau2), which
+    forms no subnormal lam^2 at a subnormal tau2.
+    """
+    return -1.5 * math.log1p(tau2) - 0.5 * LOG_2PI, 0.5 / (1.0 + tau2)
+
+
+def _log_bf_z(x: float, tau2: float, quad_spec: QuadratureSpec) -> float:
+    """ln BF10 of a z statistic in one quadrature over rho = lam/sqrt(v), in posterior sds.
+
+    r = e^(x lam - lam^2/2), and folding rho onto -rho makes it e^(-v rho^2/2) cosh(b rho), b =
+    sqrt(v) |x|, so the odd term cannot cancel near BF10 = 1; w is twice the prior. ln w r is
+    2 ln rho - rho^2/2 + ln cosh(b rho) + const, whose curvature is below -1 past its peaks
+    (sqrt(b^2 + 8) -/+ b)/2, one breakpoint where they nearly meet. The window runs from 0 to
+    12 + sqrt(3) sds past the higher.
+    """
+    (c, rate), v = _nm_root_log_density(tau2), tau2 / (1.0 + tau2)
+    b, c = math.sqrt(v) * abs(x), c + _LN2
+
+    def logs(rho: float) -> tuple[float, float, float]:
+        a = b * rho  # ln cosh a; cosh a - 1 = 2 sinh(a/2)^2 keeps small a exact
+        if a < 1.0:
+            lc = math.log1p(2.0 * math.sinh(0.5 * a) ** 2)
+        else:
+            lc = a - _LN2 + math.log1p(math.exp(-2.0 * a))
+        lw, lr = c + 2.0 * math.log(rho) - rate * rho * rho, lc - 0.5 * v * rho * rho
+        return lw, lr, lw + lr
+
+    root = math.sqrt(b * b + 8.0)
+    hi = 0.5 * (root + b)
+    peaks = [4.0 / (root + b), hi] if b >= 1e-3 else [hi]
+    half = _WINDOW_SDS + math.sqrt(3.0)
+    return _log_bf_window(logs, peaks, 0.0, hi + half, max(v + b * b, 1e-300), quad_spec)
 
 
 def log_bf_quadrature(
@@ -394,17 +294,21 @@ def log_bf_quadrature(
     tau2: float,
     quad_spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> float:
-    """ln BF10 = ln of the integral of p(x | lam) / p(x | 0) * pi(lam) dlam.
+    """ln BF10 = ln of the integral of p(x | lam) / p(x | 0) * pi(lam) dlam, in posterior sds.
 
-    The prior pi is J(0, tau2) on the mean shift for z, over both half-lines after a
-    support scan, and G(k/2 + 1, 1/(2 tau2)) on the non-centrality for chi-squared, over
-    s = sqrt(lam) in posterior sds with no scan. F integrates over its denominator's
-    chi-squared scale instead, with lam in closed form, and t is its k = 1 case, F = t^2.
+    The prior pi is J(0, tau2) on the mean shift for z, folded onto lam > 0 over
+    rho = lam/sqrt(v), and G(k/2 + 1, 1/(2 tau2)) on the non-centrality for chi-squared,
+    over s = sqrt(lam). F integrates over its denominator's chi-squared scale instead, with
+    lam in closed form, and t is its k = 1 case, F = t^2. Each route hands its window to
+    `_log_bf_window`.
     """
     if tau2 <= 0:
         raise ValueError(f"tau2 must be > 0, got {tau2}")
     family, x, df1, df2 = stat.family, stat.value, stat.df1, stat.df2
-    log_null = log_density_null(family, x, df1, df2)
+    try:
+        log_null = log_density_null(family, x, df1, df2)
+    except OverflowError as e:  # lgamma of a df past about 2.5e305
+        raise IntegrationError(f"the null log density overflows on {df1}, {df2} df") from e
     if not math.isfinite(log_null):
         raise IntegrationError(
             f"likelihood ratio undefined: the null log density of the "
@@ -416,15 +320,7 @@ def log_bf_quadrature(
         return _log_bf_scale(x, df1, df2, tau2, quad_spec)
     if family is Family.CHISQ:
         return _log_bf_chisq_root(x, df1, tau2, log_null, quad_spec)
-    prior, density = NormalMomentPrior(0.0, tau2), _DENSITIES[Family.Z]
-    # the posterior's spread is at most the smaller of the prior's tau and the
-    # likelihood's, about 1 + |x|, and its centre is within about |x| min(1, tau2) of 0
-    span = 50.0 * (1.0 + abs(x)) * min(1.0, math.sqrt(tau2))
-
-    def log_integrand(lam: float) -> float:
-        return density(x, lam, df1, df2, quad_spec) - log_null + nm_log_density(prior, lam)
-
-    return _log_integral_shifted(log_integrand, (-span, span), quad_spec)
+    return _log_bf_z(x, tau2, quad_spec)
 
 
 def log_marginal_mixture_chisq(h: float, k: int, tau2: float) -> float:

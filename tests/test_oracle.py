@@ -4,7 +4,6 @@ import json
 import math
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
@@ -19,32 +18,19 @@ from bff.bayes_factors import (
 )
 from bff.numerics import IntegrationError, QuadratureSpec, SeriesError, integrate
 from bff.oracle import (
-    NoncentralDensityQuery,
     _DENSITIES,
     _gamma_root_log_density,
-    _log_integral_shifted,
-    _support,
+    _log_bf_window,
+    _nm_root_log_density,
     log_bf_quadrature,
-    log_density_noncentral,
     log_density_null,
     log_marginal_mixture_chisq,
     log_marginal_mixture_f,
-    noncentral_t_log_density_series,
 )
-from bff.priors import GammaNCPPrior, gamma_log_density
+from bff.priors import GammaNCPPrior, NormalMomentPrior, gamma_log_density, nm_log_density
 
 NORM_QUAD = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-8, max_subdivisions=2000)
 ORACLE_POOL = Path(__file__).resolve().parent.parent / "bench" / "refs" / "oracle.json"
-
-
-class TestQueryValidation:
-    def test_noncentrality_sign(self):
-        NoncentralDensityQuery(Family.Z, 1.0, -2.0)
-        NoncentralDensityQuery(Family.T, 1.0, -2.0, df1=5)
-        with pytest.raises(ValueError):
-            NoncentralDensityQuery(Family.CHISQ, 5.0, -1.0, df1=3)
-        with pytest.raises(ValueError):
-            NoncentralDensityQuery(Family.F, 2.0, -1.0, df1=3, df2=20)
 
 
 class TestNullDensities:
@@ -80,87 +66,39 @@ class TestNullDensities:
 class TestNoncentralDensities:
     def test_reference_values(self):
         # 40-digit references:
-        #   t:     -1.15643447591509226345
         #   chisq: -2.886391641779269663353
         #   f:     -1.498424707524162668381
-        got = log_density_noncentral(NoncentralDensityQuery(Family.T, 2.0, 1.5, df1=10))
-        assert math.isclose(got, -1.1564344759150923, rel_tol=1e-12)
-        got = log_density_noncentral(
-            NoncentralDensityQuery(Family.CHISQ, 10.2, 3.7, df1=4)
-        )
+        got = _DENSITIES[Family.CHISQ](10.2, 3.7, 4, None)
         assert math.isclose(got, -2.8863916417792697, rel_tol=1e-12)
-        got = log_density_noncentral(
-            NoncentralDensityQuery(Family.F, 2.2, 2.9, df1=3, df2=25)
-        )
+        got = _DENSITIES[Family.F](2.2, 2.9, 3, 25)
         assert math.isclose(got, -1.4984247075241627, rel_tol=1e-12)
 
     def test_against_scipy(self):
         cases = [
-            (NoncentralDensityQuery(Family.T, 2.0, 1.5, df1=10), stats.nct(10, 1.5)),
-            (NoncentralDensityQuery(Family.T, -1.5, -1.0, df1=4), stats.nct(4, -1.0)),
-            (NoncentralDensityQuery(Family.T, 3.0, 2.0, df1=25), stats.nct(25, 2.0)),
-            (
-                NoncentralDensityQuery(Family.CHISQ, 10.2, 3.7, df1=4),
-                stats.ncx2(4, 3.7),
-            ),
-            (
-                NoncentralDensityQuery(Family.CHISQ, 1.4, 0.5, df1=1),
-                stats.ncx2(1, 0.5),
-            ),
-            (
-                NoncentralDensityQuery(Family.F, 2.2, 2.9, df1=3, df2=25),
-                stats.ncf(3, 25, 2.9),
-            ),
-            (
-                NoncentralDensityQuery(Family.F, 0.8, 6.0, df1=8, df2=120),
-                stats.ncf(8, 120, 6.0),
-            ),
+            ((Family.CHISQ, 10.2, 3.7, 4, None), stats.ncx2(4, 3.7)),
+            ((Family.CHISQ, 1.4, 0.5, 1, None), stats.ncx2(1, 0.5)),
+            ((Family.F, 2.2, 2.9, 3, 25), stats.ncf(3, 25, 2.9)),
+            ((Family.F, 0.8, 6.0, 8, 120), stats.ncf(8, 120, 6.0)),
         ]
-        for query, dist in cases:
-            got = log_density_noncentral(query)
-            assert math.isclose(got, dist.logpdf(query.value), rel_tol=1e-9, abs_tol=1e-9)
-
-    def test_series_route_matches_integral_route(self):
-        # When lam*t < 0 the series alternates and cancellation caps the
-        # achievable agreement a little above 1e-9 in log space.
-        for t in [-3.0, 0.5, 2.0, 6.0]:
-            for nu in [3, 17]:
-                for lam in [-2.0, 0.8, 4.0]:
-                    via_integral = log_density_noncentral(
-                        NoncentralDensityQuery(Family.T, t, lam, df1=nu)
-                    )
-                    via_series = noncentral_t_log_density_series(t, nu, lam)
-                    assert math.isclose(
-                        via_integral, via_series, rel_tol=1e-8, abs_tol=1e-12
-                    )
+        for (family, x, lam, df1, df2), dist in cases:
+            got = _DENSITIES[family](x, lam, df1, df2)
+            assert math.isclose(got, dist.logpdf(x), rel_tol=1e-9, abs_tol=1e-9)
 
     def test_zero_noncentrality_reduces_to_null(self):
-        q = NoncentralDensityQuery(Family.CHISQ, 7.3, 0.0, df1=5)
-        assert log_density_noncentral(q) == log_density_null(Family.CHISQ, 7.3, 5)
-        q = NoncentralDensityQuery(Family.F, 1.9, 0.0, df1=3, df2=40)
+        got = _DENSITIES[Family.CHISQ](7.3, 0.0, 5, None)
+        assert got == log_density_null(Family.CHISQ, 7.3, 5)
         assert math.isclose(
-            log_density_noncentral(q),
+            _DENSITIES[Family.F](1.9, 0.0, 3, 40),
             log_density_null(Family.F, 1.9, 3, 40),
             rel_tol=1e-14,
-        )
-        q = NoncentralDensityQuery(Family.T, 1.3, 0.0, df1=9)
-        assert math.isclose(
-            log_density_noncentral(q),
-            log_density_null(Family.T, 1.3, 9),
-            rel_tol=1e-12,
-        )
-        assert math.isclose(
-            noncentral_t_log_density_series(1.3, 9, 0.0),
-            log_density_null(Family.T, 1.3, 9),
-            rel_tol=1e-12,
         )
 
     @pytest.mark.parametrize(
         "query",
         [
-            NoncentralDensityQuery(Family.CHISQ, 4e5, 2e5, df1=6),
-            NoncentralDensityQuery(Family.F, 2.0, 1e6, df1=3, df2=20),
-            NoncentralDensityQuery(Family.CHISQ, 1.996e5, 2e5, df1=6),
+            (Family.CHISQ, 4e5, 2e5, 6, None),
+            (Family.F, 2.0, 1e6, 3, 20),
+            (Family.CHISQ, 1.996e5, 2e5, 6, None),
         ],
         ids=["chisq", "f", "chisq-walk"],
     )
@@ -169,20 +107,15 @@ class TestNoncentralDensities:
         # the last case the peak, near 99 900, lies below it but the walk up
         # from there does not: a compute failure (SeriesError), not a bad
         # SeriesSpec (ValueError)
+        family, *args = query
         with pytest.raises(SeriesError, match="max_terms"):
-            log_density_noncentral(query)
+            _DENSITIES[family](*args)
 
     @pytest.mark.parametrize(
         "query, expected",
         [
-            (
-                NoncentralDensityQuery(Family.CHISQ, 12.65, 210000.0, df1=6),
-                -103391.47627606583814,
-            ),
-            (
-                NoncentralDensityQuery(Family.F, 2.0, 210000.0, df1=3, df2=20),
-                -80686.590774944985927,
-            ),
+            ((Family.CHISQ, 12.65, 210000.0, 6, None), -103391.47627606583814),
+            ((Family.F, 2.0, 210000.0, 3, 20), -80686.590774944985927),
         ],
         ids=["chisq", "f"],
     )
@@ -192,7 +125,8 @@ class TestNoncentralDensities:
         # e^(-(h+lam)/2) (h/lam)^(k/4-1/2) I_(k/2-1)(sqrt(lam h)) / 2 for
         # chi-squared and e^(-lam/2) F(f; k, m) 1F1((k+m)/2; k/2; lam k f / (2(k f + m)))
         # for F
-        assert math.isclose(log_density_noncentral(query), expected, rel_tol=1e-13)
+        family, *args = query
+        assert math.isclose(_DENSITIES[family](*args), expected, rel_tol=1e-13)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
@@ -222,119 +156,29 @@ class TestNoncentralDensities:
         # many df underflows to 0
         lam = 10.0**log10_lam
         if family is Family.CHISQ:
-            x = (k + lam) * math.exp(log_scale)
-            query = NoncentralDensityQuery(family, x, lam, df1=k)
+            x, df2 = (k + lam) * math.exp(log_scale), None
             central, noncentral = stats.chi2(k), stats.ncx2(k, lam)
         else:
-            x = (k + lam) / k * math.exp(log_scale)
-            query = NoncentralDensityQuery(family, x, lam, df1=k, df2=m)
+            x, df2 = (k + lam) / k * math.exp(log_scale), m
             central, noncentral = stats.f(k, m), stats.ncf(k, m, lam)
         if x == 0.0 or lam < 1e-20:
             expected = -0.5 * lam + float(central.logpdf(x))
         else:
             expected = float(noncentral.logpdf(x))
-        got = log_density_noncentral(query)
+        got = _DENSITIES[family](x, lam, k, df2)
         assert got == expected or math.isclose(got, expected, rel_tol=1e-10, abs_tol=1e-10)
 
-    def test_t_series_past_max_terms_is_a_series_error(self):
-        with pytest.raises(SeriesError, match="max_terms"):
-            noncentral_t_log_density_series(300.0, 5, 1000.0)
-
     def test_z_shift(self):
-        q = NoncentralDensityQuery(Family.Z, 2.5, 2.5)
-        assert log_density_noncentral(q) == -0.5 * math.log(2.0 * math.pi)
+        assert _DENSITIES[Family.Z](2.5, 2.5, None, None) == -0.5 * math.log(2.0 * math.pi)
 
     @pytest.mark.parametrize("lam", [0.0, 1.0, 5.0, 20.0])
     def test_densities_integrate_to_one(self, lam):
-        def z_density(x):
-            return math.exp(
-                log_density_noncentral(NoncentralDensityQuery(Family.Z, x, lam))
-            )
+        def density(family, df1=None, df2=None):
+            return lambda x: math.exp(_DENSITIES[family](x, lam, df1, df2))
 
-        def t_density(x):
-            return math.exp(
-                log_density_noncentral(NoncentralDensityQuery(Family.T, x, lam, df1=6))
-            )
-
-        def chisq_density(x):
-            return math.exp(
-                log_density_noncentral(
-                    NoncentralDensityQuery(Family.CHISQ, x, lam, df1=3)
-                )
-            )
-
-        def f_density(x):
-            return math.exp(
-                log_density_noncentral(
-                    NoncentralDensityQuery(Family.F, x, lam, df1=4, df2=14)
-                )
-            )
-
-        assert abs(integrate(z_density, -math.inf, math.inf, NORM_QUAD) - 1.0) <= 1e-7
-        assert abs(integrate(t_density, -math.inf, math.inf, NORM_QUAD) - 1.0) <= 1e-7
-        assert abs(integrate(chisq_density, 0.0, math.inf, NORM_QUAD) - 1.0) <= 1e-7
-        assert abs(integrate(f_density, 0.0, math.inf, NORM_QUAD) - 1.0) <= 1e-7
-
-
-def _scan_from_first_point(log_integrand, end):
-    """The support scan over all 101 points from 1e-9 * end: the reference."""
-    shift, peak, stop = -math.inf, end, end
-    for x in (end * np.geomspace(1e-9, 1.0, 101)).tolist():
-        v = log_integrand(x)
-        if v > shift:
-            shift, peak = v, x
-        elif v < shift - 40.0:
-            stop = x
-            break
-    if shift == -math.inf:
-        raise IntegrationError(f"integrand is not finite anywhere on (0, {end!r})")
-    return shift, peak, stop
-
-
-class TestSupportScan:
-    @settings(max_examples=500, deadline=None, derandomize=True)
-    @given(
-        st.floats(-200.0, 200.0),
-        st.booleans(),
-        st.floats(-2.0, 11.0),
-        st.floats(-1e3, 1e3),
-        st.floats(-3.0, 3.0),
-        st.floats(-3.0, 3.0),
-        st.floats(0.5, 3.0),
-        st.floats(1.0, 1e3),
-    )
-    # the mode below the first scan point, so the peak is the first; the mode
-    # past the end, so the peak is the last; a steep rise and a slow fall that
-    # put the peak 9 points left of the coarse one; a finite window narrower
-    # than the coarse spacing; no finite point at all
-    @example(0.0, False, 12.0, 0.0, 0.0, 0.0, 1.0, 1e3)
-    @example(0.0, False, -1.0, 0.0, 0.0, 0.0, 1.0, 1e3)
-    @example(0.0, False, 8.055, 0.0, 3.0, -3.0, 1.0, 1e3)
-    @example(5.0, True, 4.0, 0.0, 1.0, 1.0, 1.0, 10.0)
-    @example(0.0, False, -2.0, 0.0, 1.0, 1.0, 1.0, 1.0)
-    def test_coarse_to_fine_matches_a_scan_from_the_first_point(
-        self, log10_end, negative, log10_past_mode, height, log10_left, log10_right,
-        power, depth,
-    ):
-        # unimodal in ln |x|, with its mode log10_past_mode decades inside the
-        # end, slopes 10^log10_left and 10^log10_right on either side, and -inf
-        # once more than depth below its height
-        end = (-1.0 if negative else 1.0) * 10.0**log10_end
-        log_mode = math.log(abs(end)) - log10_past_mode * math.log(10.0)
-        left, right = 10.0**log10_left, 10.0**log10_right
-
-        def log_integrand(x):
-            u = math.log(abs(x)) - log_mode
-            drop = (left if u < 0 else right) * abs(u) ** power
-            return height - drop if drop <= depth else -math.inf
-
-        try:
-            expected = _scan_from_first_point(log_integrand, end)
-        except IntegrationError:  # no scan point is within depth of the height
-            with pytest.raises(IntegrationError, match="not finite anywhere"):
-                _support(log_integrand, end)
-        else:
-            assert _support(log_integrand, end) == expected
+        assert abs(integrate(density(Family.Z), -math.inf, math.inf, NORM_QUAD) - 1.0) <= 1e-7
+        assert abs(integrate(density(Family.CHISQ, 3), 0.0, math.inf, NORM_QUAD) - 1.0) <= 1e-7
+        assert abs(integrate(density(Family.F, 4, 14), 0.0, math.inf, NORM_QUAD) - 1.0) <= 1e-7
 
 
 class TestQuadratureBayesFactors:
@@ -410,11 +254,6 @@ class TestQuadratureBayesFactors:
         with pytest.raises(SeriesError, match="past max_terms"):
             log_bf_quadrature(TestStatistic(Family.CHISQ, 1e6, df1=3), 1.0)
 
-    def test_scan_peaking_at_its_end_is_an_integration_error(self):
-        # the integrand may still rise past the end: its mass could lie outside
-        with pytest.raises(IntegrationError, match="peaks at its last point"):
-            _log_integral_shifted(lambda x: x, (10.0,), NORM_QUAD)
-
     def test_gamma_prior_past_its_rate_is_a_compute_error(self):
         # a subnormal tau2 (omega 1e-161 at n = 1) has rate 1/(2 tau2) = inf
         with pytest.raises(IntegrationError, match="rate"):
@@ -437,15 +276,13 @@ class TestQuadratureBayesFactors:
     @pytest.mark.parametrize("k", [3, 4, 10])
     def test_zero_chisq_density_past_two_df(self, k):
         # every central density of the Poisson mixture is 0 at h = 0 when k > 2
-        q = NoncentralDensityQuery(Family.CHISQ, 0.0, 3.0, df1=k)
-        assert log_density_noncentral(q) == -math.inf
+        assert _DENSITIES[Family.CHISQ](0.0, 3.0, k, None) == -math.inf
 
     def test_zero_f_statistic_with_two_numerator_df(self):
         # f^0 = 1 at f = 0: the F(2, m) density is finite there, and the
         # noncentral one is e^(-lam/2) times it
-        q = NoncentralDensityQuery(Family.F, 0.0, 3.0, df1=2, df2=30)
         assert math.isclose(
-            log_density_noncentral(q),
+            _DENSITIES[Family.F](0.0, 3.0, 2, 30),
             -1.5 + log_density_null(Family.F, 0.0, 2, 30),
             rel_tol=1e-14,
             abs_tol=1e-14,
@@ -485,25 +322,82 @@ class TestChisqRootRoute:
     @pytest.mark.parametrize("h, k", [(1e3, 1), (0.5, 3)])
     def test_window_end_with_mass_is_an_integration_error(self, h, k, monkeypatch):
         # sqrt(k + 1) posterior sds each side of the mode cut off much of the mass
-        monkeypatch.setattr(bff.oracle, "_CHISQ_SDS", 0.0)
+        monkeypatch.setattr(bff.oracle, "_WINDOW_SDS", 0.0)
         with pytest.raises(IntegrationError, match="mass past its window"):
             log_bf_quadrature(TestStatistic(Family.CHISQ, h, df1=k), 1.0)
 
-    def test_only_z_runs_through_the_support_scan(self, monkeypatch):
+class TestZWindowRoute:
+    """z statistics integrate over rho = lam/sqrt(v), folded onto rho > 0, in posterior sds."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.tuples(log_uniform(1e-3, 316.0), st.sampled_from((-1.0, 1.0))).map(
+            lambda p: p[0] * p[1]
+        ),
+        log_uniform(1e-30, 1e30),
+    )
+    # x = 0 with w's mass past the window: the near-one form would lose it
+    @example(0.0, 10.0)
+    @example(0.0, 1e12)
+    # unfolded, the odd term x lam cancels between lam and -lam near BF10 = 1
+    @example(0.5, 1e-30)
+    # the two peaks 5e-14 apart: two breakpoints there are extremely bad integrand behaviour
+    @example(-1.317402040467558, 1.379513067925201e-27)
+    def test_matches_closed_form(self, x, tau2):
+        stat = TestStatistic(Family.Z, x)
+        assert math.isclose(
+            log_bf_quadrature(stat, tau2), log_bf(stat, tau2), rel_tol=1e-6, abs_tol=1e-9
+        )
+
+    @pytest.mark.parametrize("tau2", [1e-30, 1e-3, 1.0, 1e30])
+    def test_rho_prior_is_the_normal_moment_density(self, tau2):
+        prior, v = NormalMomentPrior(0.0, tau2), tau2 / (1.0 + tau2)
+        c, rate = _nm_root_log_density(tau2)
+        for rho in (1e-3, 0.5, 1.0, 7.0, 300.0):
+            expected = nm_log_density(prior, math.sqrt(v) * rho) + math.log(math.sqrt(v))
+            got = c + 2.0 * math.log(rho) - rate * rho * rho
+            assert math.isclose(got, expected, rel_tol=1e-12, abs_tol=1e-9)
+
+    def test_every_route_runs_through_one_window(self, monkeypatch):
         calls = []
-        scan = bff.oracle._log_integral_shifted
+        window = bff.oracle._log_bf_window
 
-        def counted(log_integrand, ends, quad_spec):
-            calls.append(ends)
-            return scan(log_integrand, ends, quad_spec)
+        def counted(*args):
+            calls.append(args[2:4])
+            return window(*args)
 
-        monkeypatch.setattr(bff.oracle, "_log_integral_shifted", counted)
-        stat = TestStatistic(Family.CHISQ, 12.65, df1=6)
-        assert math.isclose(log_bf_quadrature(stat, 1.0), log_bf(stat, 1.0), rel_tol=1e-9)
-        assert not calls
-        stat = TestStatistic(Family.Z, 2.0)
-        assert math.isclose(log_bf_quadrature(stat, 1.0), log_bf(stat, 1.0), rel_tol=1e-9)
-        assert len(calls) == 1
+        monkeypatch.setattr(bff.oracle, "_log_bf_window", counted)
+        for stat in (
+            TestStatistic(Family.Z, 2.0),
+            TestStatistic(Family.T, 2.5, df1=20),
+            TestStatistic(Family.CHISQ, 12.65, df1=6),
+            TestStatistic(Family.F, 3.2, df1=3, df2=40),
+        ):
+            assert math.isclose(log_bf_quadrature(stat, 1.0), log_bf(stat, 1.0), rel_tol=1e-9)
+        assert len(calls) == 4
+
+    def test_window_end_at_inf_is_an_integration_error(self):
+        with pytest.raises(IntegrationError, match="end at inf"):
+            _log_bf_window(lambda z: (0.0, 0.0, 0.0), [0.0], -1.0, math.inf, None, NORM_QUAD)
+
+    def test_total_that_is_not_positive_is_an_integration_error(self):
+        # the shift at the peak is e^1000 above every quadrature node: the total underflows to 0
+        def logs(z):
+            return 0.0, 0.0, 0.0 if z == 0.0 else -1000.0
+
+        with pytest.raises(IntegrationError, match="came out <= 0"):
+            _log_bf_window(logs, [0.0], -1.0, 1.0, None, NORM_QUAD)
+
+    @pytest.mark.parametrize("scale", [None, 1.0])
+    def test_exp_overflow_is_an_integration_error(self, scale):
+        # ln w rises past 709 between the peak at 0 and the window's end 50 below it, so
+        # the near-one form is chosen where a scale is given; either form overflows there
+        def logs(z):
+            lw = 4000.0 * z * (1.0 - z) - 50.0 * z
+            return lw, -1e-3, lw - 1e-3
+
+        with pytest.raises(IntegrationError, match="overflows"):
+            _log_bf_window(logs, [0.0], -1.0, 1.0, scale, NORM_QUAD)
 
 
 class TestTScaleRoute:
@@ -541,10 +435,12 @@ class TestTScaleRoute:
         assert math.isclose(log_bf_quadrature(stat, tau2), log_bf(stat, tau2), rel_tol=1e-9)
 
     def test_evaluates_no_noncentral_density(self, monkeypatch):
+        # t is F's k = 1 case, with lam in closed form: no family's series is summed either
         def refuse(*args):
-            raise AssertionError("the t route evaluated a noncentral t density")
+            raise AssertionError("the t route evaluated a noncentral density")
 
-        monkeypatch.setitem(_DENSITIES, Family.T, refuse)
+        for family in _DENSITIES:
+            monkeypatch.setitem(_DENSITIES, family, refuse)
         stat = TestStatistic(Family.T, 2.5, df1=20)
         assert math.isclose(log_bf_quadrature(stat, 1.0), log_bf(stat, 1.0), rel_tol=1e-9)
 
