@@ -266,9 +266,9 @@ def _log_bf_z(x: float, tau2: float, quad_spec: QuadratureSpec) -> float:
 
     r = e^(x lam - lam^2/2), and folding rho onto -rho makes it e^(-v rho^2/2) cosh(b rho), b =
     sqrt(v) |x|, so the odd term cannot cancel near BF10 = 1; w is twice the prior. ln w r is
-    2 ln rho - rho^2/2 + ln cosh(b rho) + const, whose curvature is below -1 past its peaks
-    (sqrt(b^2 + 8) -/+ b)/2, one breakpoint where they nearly meet. The window runs from 0 to
-    12 + sqrt(3) sds past the higher.
+    2 ln rho - rho^2/2 + ln cosh(b rho) + const, with peaks (sqrt(b^2 + 8) -/+ b)/2 (one
+    breakpoint where they nearly meet), and falls about like a unit normal past the higher.
+    The window runs from 0 to 12 + sqrt(3) sds past it.
     """
     (c, rate), v = _nm_root_log_density(tau2), tau2 / (1.0 + tau2)
     b, c = math.sqrt(v) * abs(x), c + _LN2
