@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from scipy.integrate import quad
+from scipy.special import ive  # I_nu(x) e^-x, for the oracle (Amos 1986, ACM TOMS 644)
 
 
 class IntegrationError(ArithmeticError):

@@ -1,14 +1,14 @@
 """Brute-force verification of the closed-form Bayes factors.
 
-Everything here recomputes Bayes factors from first principles: null and
-noncentral densities built from their primitive representations (Poisson-weighted
-series for the noncentral chi-squared and F, each summed outward from its largest
-term by the ratio of neighbouring terms), marginal likelihoods by direct quadrature
-against the priors, and two-component mixture forms of the marginals. Every
-quadrature runs through one window in posterior sds (`_log_bf_window`): z over the
-mean shift, chi-squared over sqrt(lam), and F over its denominator's chi-squared
-scale, with t as its k = 1 case. Deliberately slow and redundant; it exists to
-catch algebra bugs in bayes_factors, not to serve evaluations.
+Everything here recomputes Bayes factors from first principles: null and noncentral
+densities built from their primitive representations (Poisson-weighted series for the
+noncentral chi-squared and F, each summed outward from its largest term by the ratio of
+neighbouring terms, and a scaled Bessel function for the chi-squared likelihood ratio),
+marginal likelihoods by direct quadrature against the priors, and two-component mixture
+forms of the marginals. Every quadrature runs through one window in posterior sds
+(`_log_bf_window`): z over the mean shift, chi-squared over sqrt(lam), and F over its
+denominator's chi-squared scale, with t as its k = 1 case. Deliberately slow and
+redundant; it exists to catch algebra bugs in bayes_factors, not to serve evaluations.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .numerics import (
     QuadratureSpec,
     SeriesError,
     integrate,
+    ive,
     log_beta,
     log_gamma,
 )
@@ -139,6 +140,19 @@ _DENSITIES = {
 }
 
 
+def _ncx2_log_ratio(h: float, lam: float, k: int, log_null: float) -> float:
+    """ln p(h | lam)/p(h | 0) = ln Gamma(k/2) - nu ln(x/2) + ln ive(nu, x) + x - lam/2.
+
+    nu = k/2 - 1, x = sqrt(lam h), ive(nu, x) = I_nu(x) e^-x (Johnson, Kotz & Balakrishnan 1995,
+    ch. 29). Where ive is not a comfortably normal double (large k at small x, where the series
+    mode is small) or x = 0, it is the Poisson walk.
+    """
+    nu, x = 0.5 * k - 1.0, math.sqrt(lam) * math.sqrt(h)
+    if x > 0.0 and 1e-300 < (b := ive(nu, x)) < math.inf:
+        return log_gamma(0.5 * k) - nu * math.log(0.5 * x) + math.log(b) + x - 0.5 * lam
+    return _DENSITIES[Family.CHISQ](h, lam, k, None) - log_null
+
+
 def _log_bf_window(logs, peaks, lo, hi, scale, quad_spec: QuadratureSpec) -> float:
     """ln BF10 = ln of the integral of w r over (lo, hi), in a posterior's sds; every route's tail.
 
@@ -230,19 +244,19 @@ def _log_bf_chisq_root(h: float, k: int, tau2: float, log_null: float, quad_spec
     runs in z = (s - s_m)/sqrt(v), s_m the mode of s^(k+1) e^(s sqrt(h) - s^2/(2v)), split
     there, 12 + sqrt(k + 1) each side, clipped at s = 0. Its log-curvature in s is at most
     -1/v: tails past 12 sds are below e^-72, and an end off s = 0 within e^-40 of the peak raises.
-    It takes no near-one scale: ln r is a difference of two series logs, with about 1e-15
-    absolute noise, and integrating w expm1(ln r) through that noise where BF10 - 1 is about
-    tau2 ends in roundoff (tau2 1e-12) or loses ln BF10 altogether (tau2 1e-30).
+    It takes no near-one scale: ln r, the Bessel form, cancels terms of size nu |ln(x/2)| at small
+    x to 1e-15-3e-14 absolute noise, and integrating w expm1(ln r) through it where BF10 - 1 is
+    about tau2 ends in roundoff (tau2 1e-12) or loses ln BF10 altogether (tau2 1e-30).
     """
     (c, rate), v = _gamma_root_log_density(GammaNCPPrior(k, tau2)), tau2 / (1.0 + tau2)
     if math.isinf(rate):
         raise IntegrationError(f"gamma prior rate 1/(2 tau2) overflows at tau2 {tau2!r}")
-    sv, c, density = math.sqrt(v), c + 0.5 * math.log(v), _DENSITIES[Family.CHISQ]
+    sv, c = math.sqrt(v), c + 0.5 * math.log(v)
     sm = 0.5 * (v * math.sqrt(h) + math.sqrt(v * v * h + 4.0 * v * (k + 1.0)))
 
     def logs(z: float) -> tuple[float, float, float]:
         s = sm + sv * z  # > 0, as quadrature nodes lie inside the window
-        lw, lr = c + (k + 1.0) * math.log(s) - rate * s * s, density(h, s * s, k, None) - log_null
+        lw, lr = c + (k + 1.0) * math.log(s) - rate * s * s, _ncx2_log_ratio(h, s * s, k, log_null)
         return lw, lr, lw + lr
 
     peak, half = logs(0.0)[2], _WINDOW_SDS + math.sqrt(k + 1.0)

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,6 +24,7 @@ from bff.oracle import (
     _DENSITIES,
     _gamma_root_log_density,
     _log_bf_window,
+    _ncx2_log_ratio,
     _nm_root_log_density,
     log_bf_quadrature,
     log_density_null,
@@ -236,23 +240,18 @@ class TestQuadratureBayesFactors:
             log_bf_quadrature(stat, 1e3), log_bf(stat, 1e3), rel_tol=1e-6, abs_tol=1e-9
         )
 
-    @pytest.mark.parametrize("h", [300.0, 1000.0, 1e4, 3e4, 1e5])
+    @pytest.mark.parametrize("h", [300.0, 1000.0, 1e4, 3e4, 1e5, 1e6, 1e7])
     @pytest.mark.parametrize("k", [1, 3, 10])
     @pytest.mark.parametrize("tau2", [0.1, 1.0, 10.0])
     def test_chisq_posterior_past_the_prior_end(self, h, k, tau2):
         # sqrt(lam) is about N(v sqrt(h), v) under the posterior: at large h far past the
         # prior's bulk, 40(k+2) tau2, and only 1/sqrt(h) of its centre wide (0.3% at h 1e5),
-        # finer than a fixed geometric scan of lam
+        # finer than a fixed geometric scan of lam. From h 1e6 (lam near 2.5e5 at tau2 1) the
+        # Poisson series' own mode lies past max_terms; the Bessel ratio needs no series there
         stat = TestStatistic(Family.CHISQ, h, df1=k)
         assert math.isclose(
             log_bf_quadrature(stat, tau2), log_bf(stat, tau2), rel_tol=1e-6, abs_tol=1e-9
         )
-
-    def test_chisq_past_the_series_budget_is_a_named_error(self):
-        # the posterior mode, lam near 2.5e5, needs a Poisson series whose own mode,
-        # near 2.5e5 terms, lies past max_terms
-        with pytest.raises(SeriesError, match="past max_terms"):
-            log_bf_quadrature(TestStatistic(Family.CHISQ, 1e6, df1=3), 1.0)
 
     def test_gamma_prior_past_its_rate_is_a_compute_error(self):
         # a subnormal tau2 (omega 1e-161 at n = 1) has rate 1/(2 tau2) = inf
@@ -300,8 +299,16 @@ def log_uniform(lo: float, hi: float):
 class TestChisqRootRoute:
     """Chi-squared statistics integrate over sqrt(lam) in posterior sds, with no support scan."""
 
+    # derandomized: a tier-1 gate must not pass or fail by chance. Past the walk's series
+    # budget (h 1e6 on, at v near 1) only the Bessel ratio runs
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(log_uniform(1e-3, 1e5), log_uniform(1.0, 1e3).map(round), log_uniform(1e-30, 1e30))
+    @given(log_uniform(1e-3, 1e8), log_uniform(1.0, 1e4).map(round), log_uniform(1e-30, 1e30))
+    # ive underflows at large k and small x, where ln r falls back to the walk, which subtracts
+    # log densities of size h/2: one ulp of 1.65e8 is 3e-8, against ln BF10 near 0.0025
+    @example(330071913.1611425, 1320, 1.5341322007069124e-11).xfail(
+        raises=AssertionError, reason="the walk's ln r carries ulps of ln p(h | 0) at large h")
+    @example(1.525e8, 3459, 2.38e-11).xfail(
+        raises=AssertionError, reason="the walk's ln r carries ulps of ln p(h | 0) at large h")
     def test_matches_closed_form(self, h, k, tau2):
         stat = TestStatistic(Family.CHISQ, h, df1=k)
         assert math.isclose(
@@ -325,6 +332,77 @@ class TestChisqRootRoute:
         monkeypatch.setattr(bff.oracle, "_WINDOW_SDS", 0.0)
         with pytest.raises(IntegrationError, match="mass past its window"):
             log_bf_quadrature(TestStatistic(Family.CHISQ, h, df1=k), 1.0)
+
+
+class TestChisqBesselRatio:
+    """p(h | lam)/p(h | 0) from the exponentially scaled Bessel function, the walk its fallback."""
+
+    @pytest.mark.parametrize(
+        "h, lam, k, expected",
+        [
+            (12.65, 3.0, 6, 0.94547276397460706375),
+            (1e5, 2.5e4, 3, 37488.487074535029772),
+            (1e3, 400.0, 100, 288.91234830493052928),
+            (1e-6, 1e-3, 1, -0.00049999950000000009374),
+            (5.0, 0.3, 200, -0.14625006961292429613),
+            (1e7, 2.5e6, 3, 3749983.8819043490417),
+        ],
+    )
+    def test_against_mpmath(self, h, lam, k, expected):
+        # 40-digit references from mpmath: ln Gamma(k/2) (x/2)^-nu I_nu(x) e^(-lam/2), x =
+        # sqrt(lam h). At h 1e5 the walk is 1.5e-11 off, as it subtracts two log densities of
+        # size 5e4; at h 1e7 its mode lies past max_terms
+        got = _ncx2_log_ratio(h, lam, k, log_density_null(Family.CHISQ, h, k))
+        assert math.isclose(got, expected, rel_tol=1e-14, abs_tol=1e-14)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 6, 30, 200])
+    def test_matches_the_walk_where_both_run(self, k, monkeypatch):
+        # the walk subtracts two log densities, so its own noise is ulps of |ln p(h | 0)|:
+        # 28 of them at k 200, h = lam = 100, where the Bessel form is 2 off mpmath. ive(99, x)
+        # underflows below x near 0.1, so at k 200 the grid starts at h 1
+        walk = _DENSITIES[Family.CHISQ]
+
+        def refuse(*args):
+            raise AssertionError("the Bessel ratio fell back to the walk")
+
+        monkeypatch.setitem(_DENSITIES, Family.CHISQ, refuse)
+        for h in (1e-3, 0.1, 1.0, 12.65, 100.0, 1e3, 1e4, 1e5)[2 if k == 200 else 0 :]:
+            log_null = walk(h, 0.0, k, None)
+            for lam in (0.1, 1.0, 10.0, h / 4, h):
+                expected = walk(h, lam, k, None) - log_null
+                got = _ncx2_log_ratio(h, lam, k, log_null)
+                assert abs(got - expected) <= 64 * 2.0**-52 * max(1.0, abs(log_null))
+
+    @pytest.mark.parametrize("k", [200, 1000])
+    def test_falls_back_to_the_walk_where_ive_underflows(self, k, monkeypatch):
+        # I_nu(x) e^-x underflows at the window's small-s end: taken as is, its log was a
+        # "math domain error"
+        calls = []
+        walk = _DENSITIES[Family.CHISQ]
+
+        def counted(*args):
+            calls.append(args)
+            return walk(*args)
+
+        monkeypatch.setitem(_DENSITIES, Family.CHISQ, counted)
+        stat = TestStatistic(Family.CHISQ, 5.0, df1=k)
+        assert math.isclose(
+            log_bf_quadrature(stat, 3.0), log_bf(stat, 3.0), rel_tol=1e-6, abs_tol=1e-9
+        )
+        assert calls
+
+    @pytest.mark.parametrize(
+        "h, k", [(h, k) for h in (1e-30, 1e-300) for k in (1, 2, 3, 200)] + [(0.0, 2)]
+    )
+    def test_statistic_near_zero(self, h, k):
+        # ln r = -lam/2 + ln 0F1(; k/2; lam h/4) -> -lam/2 as h -> 0. At h = 0 (x = 0, where
+        # ln(x/2) is undefined) and at k 200 (ive underflows) the walk runs, within ulps of
+        # ln p(h | 0); only k = 2 has a finite null density at h = 0
+        log_null = log_density_null(Family.CHISQ, h, k)
+        for lam in (1e-3, 1.0, 30.0):
+            got, expected = _ncx2_log_ratio(h, lam, k, log_null), -0.5 * lam + lam * h / (2.0 * k)
+            assert abs(got - expected) <= 1e-15 + 4 * 2.0**-52 * max(1.0, abs(log_null))
+
 
 class TestZWindowRoute:
     """z statistics integrate over rho = lam/sqrt(v), folded onto rho > 0, in posterior sds."""
@@ -588,3 +666,23 @@ class TestMixtureMarginals:
     def test_small_tau2_collapses_to_null(self):
         got = log_marginal_mixture_chisq(5.0, 3, 1e-12)
         assert math.isclose(got, log_density_null(Family.CHISQ, 5.0, 3), rel_tol=1e-9)
+
+
+def test_oracle_loads_no_module_that_numerics_does_not():
+    # every bench worker imports the oracle, so it adds no import: its scipy (quad and ive)
+    # comes through numerics. A fresh interpreter, as this one has long since imported both
+    src = str(Path(bff.oracle.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    script = "\n".join([
+        "import sys",
+        "import bff.numerics",
+        "before = set(sys.modules)",
+        "import bff.oracle",
+        "print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] != 'bff'))",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
