@@ -9,8 +9,9 @@ statistic before any power of it, so the functions stay finite for
 statistics and scales far beyond the plotted ranges.
 
 Every form takes numpy arrays and broadcasts them, so one implementation
-serves a single point and a whole grid: a call with scalar arguments returns
-a float, a call with an array returns an array. ln BF10 is the authoritative
+serves a single point and a whole grid; a scalar call returns a float. Each
+kernel comes in two halves, per-study constants and the terms in tau2, so a
+curve computes the constants once per study. ln BF10 is the authoritative
 value; `linear_bf` turns it into BF10 and saturates to inf where the Bayes
 factor exceeds the largest double. Where ln BF10 lies past the largest double
 (degrees of freedom near it), a form returns +-inf, or nan where the F df terms
@@ -147,38 +148,58 @@ def _tf_terms(x, lp, tau2, c, half_df):
     return half_df * np.log1p(g) + lcg
 
 
-def _t(t, nu, tau2):
+def _t_constants(t, nu):
+    with np.errstate(divide="ignore"):  # ln 0 = -inf at t = 0 is exact
+        return 2.0 * np.log(np.abs(t)) - np.log(nu), nu + 1.0, 0.5 * (nu + 1.0)
+
+
+def _t(x, c, half_df, tau2):
     lp = np.log1p(tau2)
-    with np.errstate(divide="ignore", over="ignore"):  # ln 0 = -inf at t = 0 is exact
-        x = 2.0 * np.log(np.abs(t)) - np.log(nu)
-        return -1.5 * lp + _tf_terms(x, lp, tau2, nu + 1.0, 0.5 * (nu + 1.0))
+    with np.errstate(divide="ignore", over="ignore"):
+        return -1.5 * lp + _tf_terms(x, lp, tau2, c, half_df)
 
 
-def _chisq(h, k, tau2):
+def _chisq(h, k, a, tau2):
     with np.errstate(over="ignore"):
         u = _finite_or(tau2 * h / (tau2 + 1.0), _shrunk, h, tau2)
-        return -(0.5 * k + 1.0) * np.log1p(tau2) + np.log1p(u / k) + 0.5 * u
+        return a * np.log1p(tau2) + np.log1p(u / k) + 0.5 * u
 
 
-def _f(f, k, m, tau2):
-    lp, half_k = np.log1p(tau2), 0.5 * k
+def _f_constants(f, k, m):
+    half_k = 0.5 * k
     half_df = half_k + 0.5 * m  # 0.5 (k + m) without k + m, which can overflow
-    # ln 0 = -inf at f = 0 is exact; the two df terms past the largest double give nan
+    with np.errstate(divide="ignore", over="ignore"):  # ln 0 = -inf at f = 0 is exact
+        return np.log(f) + np.log(k / m), -(half_k + 1.0), half_df / half_k, half_df
+
+
+def _f(x, a, c, half_df, tau2):
+    lp = np.log1p(tau2)
+    # the two df terms past the largest double give nan
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        x = np.log(f) + np.log(k / m)
-        return -(half_k + 1.0) * lp + _tf_terms(x, lp, tau2, half_df / half_k, half_df)
+        return a * lp + _tf_terms(x, lp, tau2, c, half_df)
 
 
-# each form's kernel: the public form without its argument checks. Each runs in one
-# errstate that ignores overflow: _finite_or replaces the products that may overflow,
-# and a term past the largest double is +-inf.
-KERNELS = {Family.Z: _z, Family.T: _t, Family.CHISQ: _chisq, Family.F: _f}
+# each family's kernel in two halves: per-study constants from the statistic and its
+# dfs alone, and ln BF10 from them and tau2. A kernel is the public form without its
+# argument checks, in an errstate that ignores overflow: _finite_or replaces the
+# products that may overflow, and a term past the largest double is +-inf.
+SPLIT_KERNELS = {
+    Family.Z: (lambda z: (z,), _z),
+    Family.T: (_t_constants, _t),
+    Family.CHISQ: (lambda h, k: (h, k, -(0.5 * k + 1.0)), _chisq),
+    Family.F: (_f_constants, _f),
+}
+# each whole kernel, on a statistic, its dfs and tau2: its constants, then ln BF10
+KERNELS = {
+    family: lambda *args, c=constants, k=kernel: k(*c(*args[:-1]), args[-1])
+    for family, (constants, kernel) in SPLIT_KERNELS.items()
+}
 
 
 def log_bf_z(z, tau2):
     """ln BF10 for a z statistic under a J(0, tau2) prior on the mean shift."""
     _check_tau2(tau2)
-    return _result(_z(z, tau2))
+    return _result(KERNELS[Family.Z](z, tau2))
 
 
 def log_bf_t(t, nu, tau2):
@@ -186,7 +207,7 @@ def log_bf_t(t, nu, tau2):
     if np.any(nu < 1):
         raise ValueError(f"nu must be >= 1, got {np.min(nu)}")
     _check_tau2(tau2)
-    return _result(_t(t, nu, tau2))
+    return _result(KERNELS[Family.T](t, nu, tau2))
 
 
 def log_bf_chisq(h, k, tau2):
@@ -196,7 +217,7 @@ def log_bf_chisq(h, k, tau2):
     if np.any(k < 1):
         raise ValueError(f"k must be >= 1, got {np.min(k)}")
     _check_tau2(tau2)
-    return _result(_chisq(h, k, tau2))
+    return _result(KERNELS[Family.CHISQ](h, k, tau2))
 
 
 def log_bf_f(f, k, m, tau2):
@@ -206,7 +227,7 @@ def log_bf_f(f, k, m, tau2):
     if np.any(k < 1) or np.any(m < 1):
         raise ValueError(f"degrees of freedom must be >= 1, got ({np.min(k)}, {np.min(m)})")
     _check_tau2(tau2)
-    return _result(_f(f, k, m, tau2))
+    return _result(KERNELS[Family.F](f, k, m, tau2))
 
 
 # each family's public form, which checks its arguments

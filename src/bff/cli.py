@@ -16,7 +16,7 @@ import math
 import sys
 
 from .bayes_factors import Family, TestStatistic, linear_bf
-from .curves import BFFCurve, EffectGrid, Study, combine
+from .curves import BFFCurve, EffectGrid, Study, combine, sweep
 from .effect_sizes import (
     VECTOR_DESIGNS, Design, EffectSize, StudyDesign, statistic_family_for, tau2_for
 )
@@ -299,7 +299,7 @@ def _run(args) -> int:
         )
     grid = _grid_from_args(args, file_grid)
     curve = combine(studies, grid)
-    per_study = tuple(combine((s,), grid) for s in studies) if args.per_study else ()
+    per_study = tuple(sweep(s, grid) for s in studies) if args.per_study else ()
     export = build_export(curve, thresholds=_thresholds_from_args(args), per_study=per_study)
     _deliver(export, args)
     if args.oracle:

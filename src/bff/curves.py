@@ -16,11 +16,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bayes_factors import KERNELS, Family, TestStatistic, form_args
+from .bayes_factors import SPLIT_KERNELS, Family, TestStatistic, form_args
 from .effect_sizes import StudyDesign, statistic_family_for, tau2_scale
 
 _REFINE_TOL = 1e-6
@@ -70,7 +70,8 @@ class _StudySum:
         for family, members in groups.items():
             rows = ((*form_args(s.statistic), tau2_scale(s.design)) for s in members)
             *data, scale = (np.array(xs, dtype=float)[:, None] for xs in zip(*rows))
-            self._groups.append((KERNELS[family], data, scale))
+            constants, kernel = SPLIT_KERNELS[family]
+            self._groups.append((kernel, constants(*data), scale))
         # the largest omega with every c * omega^2 finite; c below 1 counts as 1,
         # which keeps omega^2 itself finite
         c = max(max(tau2_scale(s.design) for s in studies), 1.0)
@@ -90,6 +91,8 @@ class _StudySum:
     def unchecked(self, omegas: np.ndarray) -> np.ndarray:
         """The same sum without the grid checks, for omegas inside a checked grid."""
         columns = self._columns(omegas)
+        if len(columns) == 1:
+            return columns[0]
         with np.errstate(invalid="ignore", over="ignore"):
             return sum(columns)
 
@@ -97,12 +100,14 @@ class _StudySum:
         # every kernel is exactly 0 at tau2 = 0, so omega = 0 (and any omega whose
         # tau2 underflows) gives the point-null limit ln BF10 = 0
         w2, sums = omegas * omegas, []
-        for kernel, data, scale in self._groups:
+        for kernel, terms, scale in self._groups:
             step, parts = max(_BLOCK // len(scale), 1), []
             for j in range(0, max(w2.size, 1), step):
-                block = kernel(*data, scale * w2[j : j + step])  # outside the errstate: nan warns
-                with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is nan, big sums inf
-                    parts.append(block.sum(axis=0))
+                block = kernel(*terms, scale * w2[j : j + step])  # outside the errstate: nan warns
+                if len(scale) > 1:  # a lone study's row is its own sum: no kernel returns -0.0
+                    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf and big sums
+                        block = block.sum(axis=0, keepdims=True)
+                parts.append(block[0])
             sums.append(parts[0] if len(parts) == 1 else np.concatenate(parts))
         return sums
 
@@ -163,8 +168,8 @@ def _refine(
     """The refined argmax and maximum of fn, and its crossings of each threshold.
 
     One k-section loop refines every bracket to at most 1e-6 wide, or until a
-    round does not narrow it; each round evaluates all of them in one call to
-    fn, and no bracket sees another's points. The maximum's bracket spans the
+    round does not narrow it; each round evaluates every open one in one call
+    to fn, and no bracket sees another's points. The maximum's bracket spans the
     neighbours of the best grid point; each round samples its ends and _K
     points between them and keeps the neighbours of the best one. The result
     is never below the best grid value, so a monotone curve keeps its boundary
@@ -179,9 +184,6 @@ def _refine(
     which, start = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0)
     lo, hi = omegas[start], omegas[start + 1]
     level, side = levels[which], sign[which, start, None]  # side: the sign at lo, kept throughout
-    rows = np.arange(len(start))
-    # (fn - threshold) * side at each bracket's samples, positive at lo, then -1 standing in for hi
-    h = np.full((len(start), _K + 1), -1.0)
     if maximum:
         best = int(np.argmax(log_bfs))
         a = omegas[max(best - 1, 0)]
@@ -192,23 +194,28 @@ def _refine(
         width = hi - lo
         open_, last = (width > _REFINE_TOL) & (width < last), width
         refining = refining and b - a > _REFINE_TOL
-        if not (refining or open_.any()):
+        rows = open_.nonzero()[0]
+        if not (refining or rows.size):
             break
         xs = a + (b - a) * _SPREAD if refining else _SPREAD[:0]
-        # every crossing bracket's ends and _K points between; closed ones keep their ends
-        ends = lo[:, None] + width[:, None] * _SPREAD
-        ends[:, -1] = hi
-        values = fn(np.concatenate([xs, ends[:, 1:-1].ravel()]))
+        n_max = xs.size
+        if rows.size:  # each open crossing bracket's ends and _K points between
+            ends = lo[rows, None] + width[rows, None] * _SPREAD
+            ends[:, -1] = hi[rows]
+            xs = np.concatenate([xs, ends[:, 1:-1].ravel()])
+        values = fn(xs)
         if refining:
-            j = int(np.argmax(values[: _K + 2]))
+            j = int(values[:n_max].argmax())
             a, b, span = xs[max(j - 1, 0)], xs[min(j + 1, _K + 1)], b - a
             refining = b - a < span
-        if lo.size:
-            np.multiply(values[xs.size :].reshape(-1, _K) - level, side, out=h[:, :-1])
+        if rows.size:
+            # (fn - threshold) * side at each bracket's samples, positive at lo, then -1 for hi
+            h = np.full((rows.size, _K + 1), -1.0)
+            np.multiply(values[n_max:].reshape(-1, _K) - level[rows], side[rows], out=h[:, :-1])
             j = (h <= 0).argmax(axis=1)  # the first sample on the threshold or across it, else hi
-            new_hi = ends[rows, j + 1]
-            hi = np.where(open_, new_hi, hi)
-            lo = np.where(open_, np.where(h[rows, j] == 0, new_hi, ends[rows, j]), lo)
+            at = np.arange(rows.size)
+            hi[rows] = new_hi = ends[at, j + 1]
+            lo[rows] = np.where(h[at, j] == 0, new_hi, ends[at, j])
     mids = (0.5 * (lo + hi)).tolist()
     crossings = [tuple(m for m, w in zip(mids, which) if w == i) for i in range(len(levels))]
     if not maximum:
@@ -250,6 +257,19 @@ def _build_curve(fn: _StudySum, grid: EffectGrid, label: str) -> BFFCurve:
         label=label,
         log_bf_fn=fn,
     )
+
+
+class Sweep(NamedTuple):
+    """A study's ln BF10 on a grid and nothing refined: all a per-study export series reads."""
+    omegas: np.ndarray
+    log_bfs: np.ndarray
+    label: str = ""
+
+
+def sweep(study: Study, grid: EffectGrid) -> Sweep:
+    """The study's grid values, in one evaluation; finite wherever a combine including it is."""
+    omegas = grid.omegas()
+    return Sweep(omegas, _StudySum((study,))(omegas), study.label)
 
 
 def evaluate_bff(study: Study, grid: EffectGrid = EffectGrid()) -> BFFCurve:

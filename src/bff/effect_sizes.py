@@ -11,11 +11,12 @@ which is the one place the table lives.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
+
+import numpy as np
 
 from .bayes_factors import Family, check_fits_double
 
@@ -135,6 +136,11 @@ def statistic_family_for(design: StudyDesign) -> Family:
     return _FAMILY_BY_DESIGN[design.design]
 
 
+def zone_index(omegas):
+    """The index into ZONES of each omega's band: how many ZONE_BOUNDS lie at or below it."""
+    return np.searchsorted(ZONE_BOUNDS, omegas, side="right")
+
+
 def classify_zone(effect: EffectSize) -> Zone:
     """Band membership for omega-tilde; intervals are closed on the left."""
-    return ZONES[bisect.bisect_right(ZONE_BOUNDS, effect.omega_tilde)]
+    return ZONES[zone_index(effect.omega_tilde)]

@@ -5,6 +5,8 @@ float64 round trips, and contain nothing nondeterministic: rendering the same
 curve twice yields byte-identical documents, and a parsed CSV re-renders to
 the exact bytes it came from. A linear-space bf10 above the largest double
 is inf: CSV writes `inf`, JSON writes `null`; log_bf10 is always finite.
+Renders fill whole columns into one % template per part (%.17g and %.2f print a
+float as f"{x:.17g}" and f"{x:.2f}" do), and the SVG maps coordinates as arrays.
 """
 
 from __future__ import annotations
@@ -18,11 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bayes_factors import linear_bf
-from .curves import BFFCurve, threshold_crossings
-from .effect_sizes import ZONE_BOUNDS, ZONES
+from .curves import BFFCurve, Sweep, threshold_crossings
+from .effect_sizes import ZONE_BOUNDS, ZONES, zone_index
 
 LN10 = math.log(10.0)
 _ZONE_NAMES = tuple(z.value for z in ZONES)
+_ZONE_JSON = tuple(map(json.dumps, _ZONE_NAMES))
 
 # zone shading for the SVG plots, from very small through large
 ZONE_BANDS = tuple(
@@ -39,9 +42,12 @@ SERIES_COLORS = ("#cc0000", "#38761d", "#674ea7", "#b45f06", "#134f5c")
 _fmt = "{:.17g}".format  # a float with 17 significant digits
 
 
-def _json_num(x: float) -> str:
-    """A JSON number, or null for a saturated (infinite) bf10."""
-    return _fmt(x) if math.isfinite(x) else "null"
+def _rows(row: str, *columns: list) -> str:
+    """row once per entry of the columns, all filled by one % call: no Python work per row."""
+    cells = [None] * (len(columns) * len(columns[0]))
+    for i, column in enumerate(columns):
+        cells[i :: len(columns)] = column
+    return (row * len(columns[0])) % tuple(cells)
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,11 +87,10 @@ class ExportRows(Sequence):
             and np.array_equal(self.log_bf10s, other.log_bf10s)
         )
 
-    def columns(self) -> tuple[list[float], list[float], list[float], list[str]]:
-        """The omega, bf10, log_bf10 and zone columns as Python lists."""
+    def columns(self, zone_names=_ZONE_NAMES) -> tuple[list[float], list[float], list[float], list]:
+        """The omega, bf10, log_bf10 and zone columns as Python lists, zones as zone_names."""
         omegas, log_bf10s = self.omegas.tolist(), self.log_bf10s.tolist()
-        bands = np.searchsorted(ZONE_BOUNDS, self.omegas, side="right").tolist()
-        zones = [_ZONE_NAMES[b] for b in bands]
+        zones = [zone_names[b] for b in zone_index(self.omegas).tolist()]
         return omegas, list(map(linear_bf, log_bf10s)), log_bf10s, zones
 
 
@@ -124,12 +129,13 @@ class CurveExport:
 def build_export(
     curve: BFFCurve,
     thresholds: tuple[float, ...] = (),
-    per_study: tuple[BFFCurve, ...] = (),
+    per_study: tuple[BFFCurve | Sweep, ...] = (),
 ) -> CurveExport:
     """Assemble the serializable view of a curve.
 
     thresholds are Bayes factors (linear space) whose crossings get reported
-    alongside the BF=1 crossings the curve already carries.
+    alongside the BF=1 crossings the curve already carries. Each per-study
+    series reads only the omegas, log_bfs and label of a curve or a sweep.
     """
     crossings = threshold_crossings(curve, [math.log(t) for t in thresholds])
     threshold_blocks = tuple(map(ThresholdCrossings, thresholds, crossings))
@@ -150,10 +156,7 @@ def build_export(
 def render_csv(export: CurveExport) -> str:
     """CSV document: data rows, then the summary as '#' comment lines."""
     # numbers and the fixed zone names never need CSV quoting
-    rows = [
-        f"{w:.17g},{bf:.17g},{lb:.17g},{zone}\n"
-        for w, bf, lb, zone in zip(*export.rows.columns())
-    ]
+    rows = _rows("%.17g,%.17g,%.17g,%s\n", *export.rows.columns())
     s = export.summary
     lines = [
         f"# max_bf10 {_fmt(s.max_bf10)}",
@@ -168,7 +171,7 @@ def render_csv(export: CurveExport) -> str:
                 + [_fmt(w) for w in block.crossings]
             )
         )
-    return "".join(["omega,bf10,log_bf10,zone\n", *rows, "\n".join(lines), "\n"])
+    return "".join(["omega,bf10,log_bf10,zone\n", rows, "\n".join(lines), "\n"])
 
 
 def parse_csv(text: str) -> CurveExport:
@@ -228,17 +231,15 @@ def parse_csv(text: str) -> CurveExport:
 
 def render_json(export: CurveExport) -> str:
     """JSON document mirroring the CSV contents plus any per-study series."""
-    n = len(export.rows)
-    out: list[str] = ["{", '  "points": [']
-    out += [
-        f'    {{"omega": {_fmt(w)}, "bf10": {_json_num(bf)}, '
-        f'"log_bf10": {_fmt(lb)}, "zone": {json.dumps(zone)}}}{"," if i < n else ""}'
-        for i, (w, bf, lb, zone) in enumerate(zip(*export.rows.columns()), 1)
-    ]
-    out.append("  ],")
+    omegas, bf10s, log_bf10s, zones = export.rows.columns(_ZONE_JSON)
+    row = '    {"omega": %.17g, "bf10": %.17g, "log_bf10": %.17g, "zone": %s},\n'
+    rows = _rows(row, omegas, bf10s, log_bf10s, zones)[:-2]
+    if not math.isfinite(sum(bf10s)):  # JSON has no inf or nan: such a bf10 is null
+        rows = rows.replace('"bf10": inf', '"bf10": null').replace('"bf10": nan', '"bf10": null')
+    out: list[str] = ["{", '  "points": [', *([rows] if rows else []), "  ],"]
     s = export.summary
     out.append('  "summary": {')
-    out.append(f'    "max_bf10": {_json_num(s.max_bf10)},')
+    out.append(f'    "max_bf10": {_fmt(s.max_bf10) if s.max_bf10 < math.inf else "null"},')
     out.append(f'    "max_log_bf10": {_fmt(s.max_log_bf10)},')
     out.append(f'    "argmax_omega": {_fmt(s.argmax_omega)},')
     crossings = ", ".join(_fmt(w) for w in s.crossings_bf1)
@@ -259,20 +260,14 @@ def render_json(export: CurveExport) -> str:
         out.append('  "per_study": [')
         for i, series in enumerate(export.per_study):
             comma = "," if i + 1 < len(export.per_study) else ""
-            pts = ", ".join(
-                f"[{_fmt(w)}, {_fmt(lb)}]" for w, lb in _pairs(series.points)
-            )
+            ws, lbs = series.points.omegas.tolist(), series.points.log_bf10s.tolist()
+            pts = _rows("[%.17g, %.17g], ", ws, lbs)[:-2]
             out.append(
                 f'    {{"label": {json.dumps(series.label)}, "points": [{pts}]}}{comma}'
             )
         out.append("  ]")
     out.append("}")
     return "\n".join(out) + "\n"
-
-
-def _pairs(rows: ExportRows):
-    """(omega, log_bf10) pairs of floats, one tolist() per column."""
-    return zip(rows.omegas.tolist(), rows.log_bf10s.tolist())
 
 
 def _escape(text: str) -> str:
@@ -285,25 +280,24 @@ def render_svg(export: CurveExport) -> str:
     ml, mr, mt, mb = 70, 24, 24, 56
     pw, ph = width - ml - mr, height - mt - mb
 
-    main = list(_pairs(export.rows))
-    studies = [list(_pairs(series.points)) for series in export.per_study]
-    w_min, w_max = main[0][0], main[-1][0]
-    logs10 = [lb / LN10 for _, lb in main]
-    for points in studies:
-        logs10.extend(lb / LN10 for _, lb in points)
+    # each series' omegas and log10 BF10 columns; x and y map arrays as they map floats
+    main = (export.rows.omegas, export.rows.log_bf10s / LN10)
+    studies = [(s.points.omegas, s.points.log_bf10s / LN10) for s in export.per_study]
+    w_min, w_max = float(main[0][0]), float(main[0][-1])
+    logs10 = np.concatenate([main[1], *(logs for _, logs in studies)]).tolist()
     y_lo = math.floor(min(0.0, min(logs10)))
     y_hi = math.ceil(max(0.0, max(logs10)))
     if y_hi == y_lo:
         y_hi += 1
 
-    def x(w: float) -> float:
+    def x(w):
         return ml + (w - w_min) / (w_max - w_min) * pw
 
-    def y(log10_bf: float) -> float:
+    def y(log10_bf):
         return mt + (y_hi - log10_bf) / (y_hi - y_lo) * ph
 
-    def polyline(points: list[tuple[float, float]], color: str, sw: float) -> str:
-        coords = " ".join(f"{px:.2f},{py:.2f}" for px, py in points)
+    def polyline(ws: np.ndarray, logs: np.ndarray, color: str, sw: float) -> str:
+        coords = _rows("%.2f,%.2f ", x(ws).tolist(), y(logs).tolist())[:-1]
         return (
             f'<polyline points="{coords}" fill="none" stroke="{color}" '
             f'stroke-width="{sw}" />'
@@ -355,11 +349,10 @@ def render_svg(export: CurveExport) -> str:
         f'stroke="#444444" stroke-width="1.5" stroke-dasharray="6 4" />'
     )
 
-    for i, points in enumerate(studies):
-        color = SERIES_COLORS[i % len(SERIES_COLORS)]
-        out.append(polyline([(x(w), y(lb / LN10)) for w, lb in points], color, 1.5))
+    for i, (ws, logs) in enumerate(studies):
+        out.append(polyline(ws, logs, SERIES_COLORS[i % len(SERIES_COLORS)], 1.5))
 
-    out.append(polyline([(x(w), y(lb / LN10)) for w, lb in main], MAIN_COLOR, 2.5))
+    out.append(polyline(*main, MAIN_COLOR, 2.5))
 
     s = export.summary
     px, py = x(s.argmax_omega), y(s.max_log_bf10 / LN10)

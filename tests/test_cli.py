@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import bff.cli as cli
 import bff.oracle
 from bff.bayes_factors import log_bf
+from bff.curves import EffectGrid, _StudySum, evaluate_bff
 from bff.exports import parse_csv, render_csv
 from bff.numerics import IntegrationError, SeriesError
 
@@ -521,6 +522,34 @@ class TestStudyFiles:
         assert f"wrote json to {out_path}" in out
         doc = json.loads(out_path.read_text(encoding="utf-8"))
         assert [s["label"] for s in doc["per_study"]] == ["original", "replication"]
+
+    @pytest.mark.parametrize("flags, evaluations", [((), 5), (("--per-study",), 7)])
+    def test_per_study_series_cost_one_evaluation_each(
+        self, capsys, tmp_path, monkeypatch, flags, evaluations
+    ):
+        # the combined curve makes 5 evaluations; each per-study series adds its grid alone
+        calls = [0]
+        original = _StudySum._columns
+
+        def counted(self, omegas):
+            calls[0] += 1
+            return original(self, omegas)
+
+        monkeypatch.setattr(_StudySum, "_columns", counted)
+        code, out, err = run_cli(capsys, "combine", "--studies", write_meta(tmp_path), *flags)
+        assert code == 0
+        assert calls[0] == evaluations
+
+    def test_per_study_series_are_the_studies_curves(self, capsys, tmp_path):
+        path = write_meta(tmp_path)
+        code, out, err = run_cli(capsys, "combine", "--studies", path, "--per-study",
+                                 "--format", "json", "--steps", "61")
+        assert code == 0
+        doc = json.loads(out[out.index("{"):])
+        studies, _ = cli.parse_study_file(json.dumps(F_META))
+        for series, study in zip(doc["per_study"], studies):
+            curve = evaluate_bff(study, EffectGrid(steps=61))
+            assert series["points"] == [list(p) for p in curve.points]
 
     def test_file_grid_applies_and_flags_override(self, capsys, tmp_path):
         doc = dict(F_META, grid={"min": 0.0, "max": 0.3, "steps": 7})

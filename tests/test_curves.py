@@ -1,13 +1,14 @@
 """Tests for curve evaluation, refinement, crossings, and combination."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bff import curves
-from bff.bayes_factors import Family, TestStatistic, log_bf
+from bff.bayes_factors import KERNELS, Family, TestStatistic, form_args, log_bf
 from bff.curves import (
     BFFCurve,
     EffectGrid,
@@ -18,7 +19,7 @@ from bff.curves import (
     find_crossings,
     refine_max,
 )
-from bff.effect_sizes import Design, EffectSize, StudyDesign, tau2_for
+from bff.effect_sizes import Design, EffectSize, StudyDesign, tau2_for, tau2_scale
 from bff.exports import build_export
 
 Z_STUDY = Study(
@@ -298,6 +299,77 @@ class TestEvaluationCount:
             export = build_export(curve, thresholds)
             assert calls[0] <= 3
             assert [len(b.crossings) for b in export.summary.thresholds] == counts
+
+
+    def test_rounds_evaluate_only_open_brackets(self, monkeypatch):
+        sizes = []
+        original = _StudySum._columns
+
+        def recorded(self, omegas):
+            sizes.append(omegas.size)
+            return original(self, omegas)
+
+        monkeypatch.setattr(_StudySum, "_columns", recorded)
+        evaluate_bff(Z_STUDY, EffectGrid(steps=1000))
+        # the grid sweep; rounds of the maximum's 35 points and the BF = 1 bracket's
+        # 33, which closes after round 2, so round 3 samples the maximum alone; then
+        # the maximum's midpoint
+        assert sizes == [1000, 68, 68, 35, 1]
+
+
+def random_studies(seed, count):
+    """Seeded studies of every family and design, with zero statistics and huge dfs."""
+    rng = np.random.default_rng(seed)
+    big = [int(x) for x in (1e300, 1.7e308, sys.float_info.max)]
+    studies = []
+    for i in range(count):
+        df = int(rng.integers(1, 500)) if i % 5 else big[i % 3]
+        n = int(rng.integers(1, 10**6))
+        value = 0.0 if i % 7 == 0 else float(rng.lognormal(1.0, 1.5))
+        half = (n + 1) // 2
+        family = list(Family)[i % 4]
+        if family is Family.Z:
+            design = StudyDesign(Design.ONE_SAMPLE_Z, n=n) if i % 2 else StudyDesign(
+                Design.TWO_SAMPLE_Z, n1=half, n2=n - half + 1)
+            stat = TestStatistic(family, value * rng.choice((-1.0, 1.0)))
+        elif family is Family.T:
+            design = StudyDesign(Design.ONE_SAMPLE_T, n=n) if i % 2 else StudyDesign(
+                Design.TWO_SAMPLE_T, n1=half, n2=n - half + 1)
+            stat = TestStatistic(family, value * rng.choice((-1.0, 1.0)), df1=df)
+        elif family is Family.CHISQ:
+            kind = Design.MULTINOMIAL_CHISQ if i % 2 else Design.LIKELIHOOD_RATIO_CHISQ
+            design = StudyDesign(kind, n=n, k=df)
+            stat = TestStatistic(family, value, df1=df)
+        else:
+            m = int(rng.integers(1, 500)) if i % 3 else big[i % 2]
+            design = StudyDesign(Design.LINEAR_MODEL_F, n=n, k=df)
+            stat = TestStatistic(family, value, df1=df, df2=m)
+        studies.append(Study(stat, design))
+    top = int(sys.float_info.max)  # F's two df terms overflow both ways to nan
+    studies.append(Study(TestStatistic(Family.F, 3.0, df1=top, df2=top),
+                         StudyDesign(Design.LINEAR_MODEL_F, n=10**6, k=top)))
+    return studies
+
+
+class TestPerStudyConstants:
+    """A curve computes each study's kernel constants once; the values keep every bit."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_study_sum_is_the_kernels_bit_for_bit(self, seed):
+        studies = random_studies(seed, 40)
+        omegas = np.concatenate([np.linspace(0.0, 2.0, 97), [1e-170, 1e-3, 40.0]])
+        w2 = omegas * omegas
+        for family in Family:
+            members = [s for s in studies if s.statistic.family is family]
+            assert any(s.statistic.value == 0.0 for s in members)
+            rows = [(*form_args(s.statistic), tau2_scale(s.design)) for s in members]
+            *data, scale = (np.array(xs, dtype=float)[:, None] for xs in zip(*rows))
+            columns = KERNELS[family](*data, scale * w2)  # (N, 1) x (1, S), as a curve has them
+            for s, column in zip(members, columns):
+                assert _StudySum((s,)).unchecked(omegas).tobytes() == column.tobytes()
+            with np.errstate(invalid="ignore", over="ignore"):
+                total = columns.sum(axis=0)
+            assert _StudySum(members).unchecked(omegas).tobytes() == total.tobytes()
 
 
 class TestBlockedSweep:

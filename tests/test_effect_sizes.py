@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,11 +11,13 @@ from bff.effect_sizes import (
     Design,
     EffectSize,
     StudyDesign,
+    ZONES,
     Zone,
     classify_zone,
     rmses,
     statistic_family_for,
     tau2_for,
+    zone_index,
 )
 
 OMEGAS = st.floats(-3.0, 3.0, allow_nan=False)
@@ -194,6 +197,12 @@ class TestZones:
         assert classify_zone(EffectSize(0.1)) is Zone.SMALL
         assert classify_zone(EffectSize(0.35)) is Zone.MEDIUM
         assert classify_zone(EffectSize(0.65)) is Zone.LARGE
+
+    def test_zone_index_is_classify_zone_on_arrays(self):
+        omegas = np.array([0.0, 0.05, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, math.inf])
+        assert [ZONES[i] for i in zone_index(omegas)] == [
+            classify_zone(EffectSize(w)) for w in omegas.tolist()
+        ]
 
     @given(st.floats(0.0, 2.0, allow_nan=False), st.floats(0.0, 2.0, allow_nan=False))
     def test_monotone_in_omega(self, a, b):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -358,6 +359,29 @@ SHAPE_SHA256 = {
 def test_golden_bytes_of_refinement_shapes(name, fmt):
     text = render(shape_export(name), fmt)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SHAPE_SHA256[name, fmt]
+
+
+# every 10th case of the recorded batch pool through combine + build_export, its
+# csv, json and svg renders hashed in one SHA-256, in case order
+BATCH = Path(__file__).resolve().parents[1] / "bench" / "refs" / "batch.json"
+BATCH_EVERY_10TH_SHA256 = "9ea677e182ff0b9a7dbcca48a35449a8d540bdfaccde863200cc0c967b58d973"
+
+
+def batch_study(spec):
+    stat = TestStatistic(Family(spec["family"]), spec["value"], spec.get("df1"), spec.get("df2"))
+    fields = {f: spec.get(f) for f in ("n", "n1", "n2", "k")}
+    return Study(stat, StudyDesign(Design(spec["design"]), **fields), spec.get("label", ""))
+
+
+def test_golden_bytes_of_the_batch_pool():
+    digest = hashlib.sha256()
+    for case in json.loads(BATCH.read_text(encoding="utf-8"))["cases"][::10]:
+        g = case["grid"]
+        curve = combine([batch_study(s) for s in case["studies"]], EffectGrid(**g))
+        export = build_export(curve, thresholds=tuple(case["thresholds"]))
+        for fmt in ("csv", "json", "svg"):
+            digest.update(render(export, fmt).encode("utf-8"))
+    assert digest.hexdigest() == BATCH_EVERY_10TH_SHA256
 
 
 class TestEmit:
