@@ -182,18 +182,22 @@ def _f(x, a, c, half_df, tau2):
 # each family's kernel in two halves: per-study constants from the statistic and its
 # dfs alone, and ln BF10 from them and tau2. A kernel is the public form without its
 # argument checks, in an errstate that ignores overflow: _finite_or replaces the
-# products that may overflow, and a term past the largest double is +-inf.
+# products that may overflow, and a term past the largest double is +-inf. h + 0.0 is
+# h except that a chi-squared -0.0 becomes 0.0, so ln BF10 at tau2 = 0 is 0.0, never -0.0.
 SPLIT_KERNELS = {
     Family.Z: (lambda z: (z,), _z),
     Family.T: (_t_constants, _t),
-    Family.CHISQ: (lambda h, k: (h, k, -(0.5 * k + 1.0)), _chisq),
+    Family.CHISQ: (lambda h, k: (h + 0.0, k, -(0.5 * k + 1.0)), _chisq),
     Family.F: (_f_constants, _f),
 }
-# each whole kernel, on a statistic, its dfs and tau2: its constants, then ln BF10
-KERNELS = {
-    family: lambda *args, c=constants, k=kernel: k(*c(*args[:-1]), args[-1])
-    for family, (constants, kernel) in SPLIT_KERNELS.items()
-}
+
+
+def _whole(constants, kernel):
+    """The kernel on a statistic, its dfs and tau2: its constants, then ln BF10."""
+    return lambda *args: kernel(*constants(*args[:-1]), args[-1])
+
+
+KERNELS = {family: _whole(*halves) for family, halves in SPLIT_KERNELS.items()}
 
 
 def log_bf_z(z, tau2):

@@ -91,10 +91,8 @@ class _StudySum:
     def unchecked(self, omegas: np.ndarray) -> np.ndarray:
         """The same sum without the grid checks, for omegas inside a checked grid."""
         columns = self._columns(omegas)
-        if len(columns) == 1:
-            return columns[0]
         with np.errstate(invalid="ignore", over="ignore"):
-            return sum(columns)
+            return columns[0] if len(columns) == 1 else sum(columns)
 
     def _columns(self, omegas: np.ndarray) -> list[np.ndarray]:
         # every kernel is exactly 0 at tau2 = 0, so omega = 0 (and any omega whose
@@ -267,9 +265,12 @@ class Sweep(NamedTuple):
 
 
 def sweep(study: Study, grid: EffectGrid) -> Sweep:
-    """The study's grid values, in one evaluation; finite wherever a combine including it is."""
+    """The study's read-only grid values, in one evaluation and unchecked for finiteness:
+    callers first run the combine that includes the study, whose check covers them."""
     omegas = grid.omegas()
-    return Sweep(omegas, _StudySum((study,))(omegas), study.label)
+    log_bfs = _StudySum((study,))(omegas)
+    omegas.flags.writeable = log_bfs.flags.writeable = False
+    return Sweep(omegas, log_bfs, study.label)
 
 
 def evaluate_bff(study: Study, grid: EffectGrid = EffectGrid()) -> BFFCurve:

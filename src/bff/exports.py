@@ -25,7 +25,6 @@ from .effect_sizes import ZONE_BOUNDS, ZONES, zone_index
 
 LN10 = math.log(10.0)
 _ZONE_NAMES = tuple(z.value for z in ZONES)
-_ZONE_JSON = tuple(map(json.dumps, _ZONE_NAMES))
 
 # zone shading for the SVG plots, from very small through large
 ZONE_BANDS = tuple(
@@ -87,10 +86,10 @@ class ExportRows(Sequence):
             and np.array_equal(self.log_bf10s, other.log_bf10s)
         )
 
-    def columns(self, zone_names=_ZONE_NAMES) -> tuple[list[float], list[float], list[float], list]:
-        """The omega, bf10, log_bf10 and zone columns as Python lists, zones as zone_names."""
+    def columns(self) -> tuple[list[float], list[float], list[float], list[str]]:
+        """The omega, bf10, log_bf10 and zone columns as Python lists."""
         omegas, log_bf10s = self.omegas.tolist(), self.log_bf10s.tolist()
-        zones = [zone_names[b] for b in zone_index(self.omegas).tolist()]
+        zones = [_ZONE_NAMES[b] for b in zone_index(self.omegas).tolist()]
         return omegas, list(map(linear_bf, log_bf10s)), log_bf10s, zones
 
 
@@ -231,8 +230,9 @@ def parse_csv(text: str) -> CurveExport:
 
 def render_json(export: CurveExport) -> str:
     """JSON document mirroring the CSV contents plus any per-study series."""
-    omegas, bf10s, log_bf10s, zones = export.rows.columns(_ZONE_JSON)
-    row = '    {"omega": %.17g, "bf10": %.17g, "log_bf10": %.17g, "zone": %s},\n'
+    omegas, bf10s, log_bf10s, zones = export.rows.columns()
+    # the fixed ASCII zone names need no JSON escaping
+    row = '    {"omega": %.17g, "bf10": %.17g, "log_bf10": %.17g, "zone": "%s"},\n'
     rows = _rows(row, omegas, bf10s, log_bf10s, zones)[:-2]
     if not math.isfinite(sum(bf10s)):  # JSON has no inf or nan: such a bf10 is null
         rows = rows.replace('"bf10": inf', '"bf10": null').replace('"bf10": nan', '"bf10": null')
@@ -246,26 +246,21 @@ def render_json(export: CurveExport) -> str:
     comma = "," if s.thresholds else ""
     out.append(f'    "crossings_bf1": [{crossings}]{comma}')
     if s.thresholds:
-        out.append('    "thresholds": [')
-        for i, block in enumerate(s.thresholds):
-            comma = "," if i + 1 < len(s.thresholds) else ""
-            xs = ", ".join(_fmt(w) for w in block.crossings)
-            out.append(
-                f'      {{"threshold_bf": {_fmt(block.threshold_bf)}, '
-                f'"crossings": [{xs}]}}{comma}'
-            )
-        out.append("    ]")
+        blocks = (
+            f'      {{"threshold_bf": {_fmt(b.threshold_bf)}, '
+            f'"crossings": [{", ".join(map(_fmt, b.crossings))}]}}'
+            for b in s.thresholds
+        )
+        out += ['    "thresholds": [', ",\n".join(blocks), "    ]"]
     out.append("  }" + ("," if export.per_study else ""))
     if export.per_study:
-        out.append('  "per_study": [')
-        for i, series in enumerate(export.per_study):
-            comma = "," if i + 1 < len(export.per_study) else ""
-            ws, lbs = series.points.omegas.tolist(), series.points.log_bf10s.tolist()
-            pts = _rows("[%.17g, %.17g], ", ws, lbs)[:-2]
-            out.append(
-                f'    {{"label": {json.dumps(series.label)}, "points": [{pts}]}}{comma}'
-            )
-        out.append("  ]")
+        series = (
+            f'    {{"label": {json.dumps(p.label)}, "points": ['
+            + _rows("[%.17g, %.17g], ", p.points.omegas.tolist(), p.points.log_bf10s.tolist())[:-2]
+            + "]}"
+            for p in export.per_study
+        )
+        out += ['  "per_study": [', ",\n".join(series), "  ]"]
     out.append("}")
     return "\n".join(out) + "\n"
 

@@ -206,6 +206,7 @@ class TestDispatchAndOdds:
             (Family.T, (2.2, 14.0)),
             (Family.T, (0.0, 14.0)),
             (Family.CHISQ, (7.5, 4.0)),
+            (Family.CHISQ, (-0.0, 4.0)),
             (Family.F, (3.1, 2.0, 40.0)),
             (Family.F, (0.0, 2.0, 40.0)),
         ],

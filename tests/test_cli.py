@@ -677,6 +677,33 @@ class TestExtremeInputs:
         assert code == 0, err
         assert out.startswith("max BF ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "chisq --stat=-0 --df 3 --n 100 --mapping multinomial --steps 5",
+            "f --stat=-0 --df1 2 --df2 137 --n 140 --steps 5",
+            "t --stat=-0 --df 20 --n1 11 --n2 11 --steps 5",
+            "z --stat=-0 --n 100 --steps 5",
+        ],
+    )
+    def test_negative_zero_statistic_prints_zero_not_minus_zero(self, argv, tmp_path):
+        # ln BF10 at omega = 0 is 0.0, never -0.0, in every format and per-study series
+        family = argv.split()[0]
+        code, out, err = run_guarded(argv.split())
+        assert code == 0, err
+        assert "\n0,1,0,very small\n" in out
+        study = {"chisq": {"df1": 3, "design": "multinomial_chisq", "n": 100, "k": 3},
+                 "f": {"df1": 2, "df2": 137, "design": "linear_model_f", "n": 140, "k": 2},
+                 "t": {"df1": 20, "design": "two_sample_t", "n1": 11, "n2": 11},
+                 "z": {"design": "one_sample_z", "n": 100}}[family]
+        path = write_meta(tmp_path, {"studies": [dict(study, family=family, value=-0.0)] * 2})
+        for fmt in ("csv", "json", "svg"):
+            code, out, err = run_guarded(
+                ["combine", "--studies", path, "--per-study", "--format", fmt, "--steps", "5"]
+            )
+            assert code == 0, err
+            assert not re.search(r"(?<![\w.])-0(?![\w.])", out)
+
     def test_chisq_kernel_near_the_largest_tau2(self):
         # tau2 h overflows, h tau2 / (tau2 + 1) does not
         argv = "chisq --stat 100 --df 2 --n 1 --mapping lrt --omega-max 1.3e154 --steps 3"

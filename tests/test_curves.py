@@ -18,6 +18,7 @@ from bff.curves import (
     evaluate_bff,
     find_crossings,
     refine_max,
+    sweep,
 )
 from bff.effect_sizes import Design, EffectSize, StudyDesign, tau2_for, tau2_scale
 from bff.exports import build_export
@@ -315,6 +316,20 @@ class TestEvaluationCount:
         # 33, which closes after round 2, so round 3 samples the maximum alone; then
         # the maximum's midpoint
         assert sizes == [1000, 68, 68, 35, 1]
+
+
+class TestSweep:
+    """A per-study series: the study's grid values from one evaluation, read-only."""
+
+    def test_sweep_is_the_curve_grid_and_read_only(self):
+        grid = EffectGrid(steps=61)
+        got, curve = sweep(F_ORIGINAL, grid), evaluate_bff(F_ORIGINAL, grid)
+        assert got.label == "original"
+        assert got.omegas.tobytes() == curve.omegas.tobytes()
+        assert got.log_bfs.tobytes() == curve.log_bfs.tobytes()
+        for column in (got.omegas, got.log_bfs):
+            with pytest.raises(ValueError):
+                column[0] = 1.0
 
 
 def random_studies(seed, count):
