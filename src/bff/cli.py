@@ -17,9 +17,7 @@ import sys
 
 from .bayes_factors import Family, TestStatistic, linear_bf
 from .curves import BFFCurve, EffectGrid, Study, combine, sweep
-from .effect_sizes import (
-    VECTOR_DESIGNS, Design, EffectSize, StudyDesign, statistic_family_for, tau2_for
-)
+from .effect_sizes import VECTOR_DESIGNS, Design, StudyDesign, statistic_family_for, tau2_scale
 from .exports import CurveExport, build_export, emit, render
 
 
@@ -249,8 +247,7 @@ def _oracle_report(studies: list[Study], curve: BFFCurve) -> None:
         log_bf_quad = 0.0
         for study in studies:
             # tau2 = c omega^2 can underflow to 0, the point null: ln BF10 = 0
-            tau2 = tau2_for(study.design, EffectSize(omega))
-            if tau2 > 0.0:
+            if (tau2 := tau2_scale(study.design) * (omega * omega)) > 0.0:
                 log_bf_quad += log_bf_quadrature(study.statistic, tau2)
         worst = max(worst, abs(log_bf_quad - log_bf_closed))
         if not (failed or math.isclose(log_bf_quad, log_bf_closed, rel_tol=1e-6, abs_tol=1e-9)):

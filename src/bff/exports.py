@@ -176,12 +176,12 @@ def render_csv(export: CurveExport) -> str:
 def parse_csv(text: str) -> CurveExport:
     """Inverse of render_csv; parse(render(x)) re-renders byte-identically.
 
-    A row whose bf10 or zone disagrees with omega and log_bf10, or a max_bf10
-    that disagrees with max_log_bf10, is a ValueError.
+    A row whose bf10 or zone disagrees with omega and log_bf10, a log_bf10 or max_log_bf10
+    that is not finite, or a max_bf10 that disagrees with max_log_bf10, is a ValueError.
     """
     lines = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line]
     data = [(n, line) for n, line in lines if not line.startswith("#")]
-    comment_lines = [line for _, line in lines if line.startswith("#")]
+    comment_lines = [(n, line) for n, line in lines if line.startswith("#")]
     reader = csv.reader(line for _, line in data)
     header = next(reader, None)
     if header != ["omega", "bf10", "log_bf10", "zone"]:
@@ -192,18 +192,22 @@ def parse_csv(text: str) -> CurveExport:
     omegas.flags.writeable = log_bf10s.flags.writeable = False
     rows = ExportRows(omegas, log_bf10s)
     for (n, line), r, row in zip(data[1:], records, rows):
+        if not math.isfinite(row.log_bf10):
+            raise ValueError(f"CSV line {n} has a log_bf10 that is not finite: {line}")
         if float(r[1]) != row.bf10 or r[3] != row.zone:
             raise ValueError(f"CSV line {n} needs bf10 {_fmt(row.bf10)}, zone {row.zone!r}: {line}")
     fields: dict[str, float] = {}
     crossings: tuple[float, ...] = ()
     thresholds: list[ThresholdCrossings] = []
-    for line in comment_lines:
+    for n, line in comment_lines:
         tokens = line[1:].split()
         if not tokens:
             continue
         key = tokens[0]
         if key in ("max_bf10", "max_log_bf10", "argmax_omega"):
             fields[key] = float(tokens[1])
+            if key == "max_log_bf10" and not math.isfinite(fields[key]):
+                raise ValueError(f"CSV line {n} has a max_log_bf10 that is not finite: {line}")
         elif key == "crossings_bf1":
             crossings = tuple(float(t) for t in tokens[1:])
         elif key == "threshold_bf":

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from scipy.integrate import quad
-from scipy.special import ive  # I_nu(x) e^-x, for the oracle (Amos 1986, ACM TOMS 644)
+from scipy.special.cython_special import ive  # scalar I_nu(x) e^-x (Amos 1986, ACM TOMS 644)
 
 
 class IntegrationError(ArithmeticError):

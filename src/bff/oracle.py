@@ -140,17 +140,25 @@ _DENSITIES = {
 }
 
 
-def _ncx2_log_ratio(h: float, lam: float, k: int, log_null: float) -> float:
-    """ln p(h | lam)/p(h | 0) = ln Gamma(k/2) - nu ln(x/2) + ln ive(nu, x) + x - lam/2.
+def _ncx2_ratio_fn(h: float, k: int, log_null: float):
+    """lam -> ln p(h | lam)/p(h | 0) = ln Gamma(k/2) - nu ln(x/2) + ln ive(nu, x) + x - lam/2.
 
     nu = k/2 - 1, x = sqrt(lam h), ive(nu, x) = I_nu(x) e^-x (Johnson, Kotz & Balakrishnan 1995,
-    ch. 29). Where ive is not a comfortably normal double (large k at small x, where the series
-    mode is small) or x = 0, it is the Poisson walk.
+    ch. 29); nu, sqrt(h) and ln Gamma(k/2) are taken once. Where ive is not a comfortably normal
+    double (large k at small x, where the series mode is small) or x = 0, it is the Poisson walk.
     """
-    nu, x = 0.5 * k - 1.0, math.sqrt(lam) * math.sqrt(h)
-    if x > 0.0 and 1e-300 < (b := ive(nu, x)) < math.inf:
-        return log_gamma(0.5 * k) - nu * math.log(0.5 * x) + math.log(b) + x - 0.5 * lam
-    return _DENSITIES[Family.CHISQ](h, lam, k, None) - log_null
+    nu, sqrt_h, lg = 0.5 * k - 1.0, math.sqrt(h), log_gamma(0.5 * k)
+
+    def log_ratio(lam: float) -> float:
+        if (x := math.sqrt(lam) * sqrt_h) > 0.0 and 1e-300 < (b := ive(nu, x)) < math.inf:
+            return lg - nu * math.log(0.5 * x) + math.log(b) + x - 0.5 * lam
+        return _DENSITIES[Family.CHISQ](h, lam, k, None) - log_null
+
+    return log_ratio
+
+
+def _ncx2_log_ratio(h: float, lam: float, k: int, log_null: float) -> float:
+    return _ncx2_ratio_fn(h, k, log_null)(lam)
 
 
 def _log_bf_window(logs, peaks, lo, hi, scale, quad_spec: QuadratureSpec) -> float:
@@ -175,16 +183,17 @@ def _log_bf_window(logs, peaks, lo, hi, scale, quad_spec: QuadratureSpec) -> flo
         and logs(hi)[0] < max(lw for lw, _, _ in at) - 40.0
     )
 
-    def g(z: float) -> float:
+    def near(z: float) -> float:
         lw, lr, lwr = logs(z)
-        if not near_one:
-            return math.exp(lwr - shift)
         if lr > 1.0:
             return (math.exp(lwr) - math.exp(lw)) / scale
         return math.exp(lw) * math.expm1(lr) / scale
 
+    def shifted(z: float) -> float:
+        return math.exp(logs(z)[2] - shift)
+
     try:
-        total = integrate(g, lo, hi, quad_spec, breakpoints=peaks)
+        total = integrate(near if near_one else shifted, lo, hi, quad_spec, breakpoints=peaks)
     except OverflowError as e:
         raise IntegrationError(f"exp of the integrand overflows on ({lo!r}, {hi!r})") from e
     if near_one and scale * total > -1.0:
@@ -217,12 +226,12 @@ def _log_bf_scale(f: float, k: int, m: int, tau2: float, quad_spec: QuadratureSp
     c = -0.5 * LOG_2PI - (1.0 - 1.0 / (30.0 * a * a)) / (12.0 * a)
     if a < 1e3:
         c = a * math.log(a) - a - log_gamma(a) - 0.5 * math.log(a)
+    am1, hk, sar, vh = a - 1.0, 0.5 * k, sa * rho, 0.5 * v * h0
 
     def logs(z: float) -> tuple[float, float, float]:
         """(ln w, ln r, ln w r) at z; ln w r takes -a rho u whole, as -a u and v h/2 cancel."""
-        lu, qu = c + (a - 1.0) * math.log1p(z / sa), q * (1.0 + z / sa)
-        lr = top + 0.5 * k * qu + math.log1p(qu)
-        return lu - sa * z, lr, lu - sa * rho * z + 0.5 * v * h0 + top + math.log1p(qu)
+        lu, lq = c + am1 * math.log1p(z / sa), math.log1p(qu := q * (1.0 + z / sa))
+        return lu - sa * z, top + hk * qu + lq, lu - sar * z + vh + top + lq
 
     # 40 standard deviations 1/sqrt(a) below 1 and past both peaks, and 40/(a rho) more
     # for the e^(-a rho u) tail, which is the wider at small a. u1 = 0 (a = 1) is the
@@ -251,12 +260,12 @@ def _log_bf_chisq_root(h: float, k: int, tau2: float, log_null: float, quad_spec
     (c, rate), v = _gamma_root_log_density(GammaNCPPrior(k, tau2)), tau2 / (1.0 + tau2)
     if math.isinf(rate):
         raise IntegrationError(f"gamma prior rate 1/(2 tau2) overflows at tau2 {tau2!r}")
-    sv, c = math.sqrt(v), c + 0.5 * math.log(v)
+    sv, c, log_ratio = math.sqrt(v), c + 0.5 * math.log(v), _ncx2_ratio_fn(h, k, log_null)
     sm = 0.5 * (v * math.sqrt(h) + math.sqrt(v * v * h + 4.0 * v * (k + 1.0)))
 
     def logs(z: float) -> tuple[float, float, float]:
         s = sm + sv * z  # > 0, as quadrature nodes lie inside the window
-        lw, lr = c + (k + 1.0) * math.log(s) - rate * s * s, _ncx2_log_ratio(h, s * s, k, log_null)
+        lw, lr = c + (k + 1.0) * math.log(s) - rate * s * s, log_ratio(s * s)
         return lw, lr, lw + lr
 
     peak, half = logs(0.0)[2], _WINDOW_SDS + math.sqrt(k + 1.0)

@@ -228,6 +228,25 @@ class TestCsv:
         with pytest.raises(ValueError, match="max_bf10 999 disagrees"):
             parse_csv(text.replace(line, "# max_bf10 999"))
 
+    @pytest.mark.parametrize("bf10, log_bf10", [("inf", "inf"), ("0", "-inf"), ("nan", "nan")])
+    def test_rejects_log_bf10_that_is_not_finite(self, bf10, log_bf10):
+        # bf10 agrees with log_bf10, yet such a row renders as JSON no parser reads
+        text = (
+            f"omega,bf10,log_bf10,zone\n0.5,{bf10},{log_bf10},medium\n"
+            "# max_bf10 1\n# max_log_bf10 0\n# argmax_omega 0.5\n# crossings_bf1\n"
+        )
+        with pytest.raises(ValueError, match="line 2 has a log_bf10 that is not finite"):
+            parse_csv(text)
+
+    @pytest.mark.parametrize("max_bf10, max_log_bf10", [("inf", "inf"), ("0", "-inf")])
+    def test_rejects_max_log_bf10_that_is_not_finite(self, max_bf10, max_log_bf10):
+        lines = render_csv(z_export()).splitlines(keepends=True)
+        n = next(i for i, l in enumerate(lines) if l.startswith("# max_log_bf10 "))
+        assert lines[n - 1].startswith("# max_bf10 ")
+        lines[n - 1 : n + 1] = [f"# max_bf10 {max_bf10}\n", f"# max_log_bf10 {max_log_bf10}\n"]
+        with pytest.raises(ValueError, match=f"line {n + 1} has a max_log_bf10 that is not finite"):
+            parse_csv("".join(lines))
+
     def test_rejects_zone_that_is_not_omegas_zone(self):
         lines = render_csv(z_export()).splitlines(keepends=True)
         assert lines[2].endswith(",very small\n")

@@ -2,7 +2,9 @@
 
 import math
 
+import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, strategies as st
 
 from bff.numerics import (
@@ -11,6 +13,7 @@ from bff.numerics import (
     SeriesError,
     SeriesSpec,
     integrate,
+    ive,
     log_beta,
     log_gamma,
     sum_series,
@@ -190,3 +193,15 @@ class TestSumSeries:
         spec = SeriesSpec(max_terms=50)
         with pytest.raises(SeriesError):
             sum_series(lambda i: 1.0, spec)
+
+
+def test_ive_is_the_ufuncs_routine_bit_for_bit():
+    # the oracle's chi-squared ratio calls ive on Python floats at nu = k/2 - 1, here k 1-400;
+    # the grid runs through the band where ive underflows past 1e-300 and the walk stands in
+    nus, xs = [0.5 * k - 1.0 for k in range(1, 401)], np.geomspace(1e-8, 1e4, 241).tolist()
+    ref = scipy.special.ive(np.array(nus)[:, None], np.array(xs)[None, :])
+    got = [[ive(nu, x) for x in xs] for nu in nus]
+    assert all(type(v) is float for row in got for v in row)
+    bits = [[v.hex() for v in row] for row in ref.tolist()]
+    assert [[v.hex() for v in row] for row in got] == bits
+    assert (ref == 0.0).any() and ((0.0 < ref) & (ref <= 1e-300)).any() and (ref > 1e-300).any()

@@ -1,5 +1,6 @@
 """Tests for the quadrature/series oracle used to verify the closed forms."""
 
+import hashlib
 import json
 import math
 import os
@@ -35,6 +36,14 @@ from bff.priors import GammaNCPPrior, NormalMomentPrior, gamma_log_density, nm_l
 
 NORM_QUAD = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-8, max_subdivisions=2000)
 ORACLE_POOL = Path(__file__).resolve().parent.parent / "bench" / "refs" / "oracle.json"
+# SHA-256 over f"{value.hex()}\n" of each recorded pool point's log_bf_quadrature, per family in
+# pool order: a change to one route re-pins that family's digest alone
+POOL_SHA256 = {
+    "t": "c49c51beeb038e3bc9d83945bb5463bdbdcaed18b62cfa30205465d12252ba48",
+    "chisq": "b62f66ef16bac204447a3ad658b8b484a3a8b6e423586c1b6dfc93715f02d83f",
+    "f": "7190a69793150a3b4e84e1bdc04c31b67b888a1f00c01737522ef11bcc5da612",
+    "z": "3eb279d97463e92f364034dfa57fa66dfafc6b7124a6d8efda60dd2dc00654e4",
+}
 
 
 class TestNullDensities:
@@ -622,9 +631,10 @@ class TestClosedFormAgainstOracle:
         )
 
     def test_recorded_pool(self):
-        # every point of the benchmark's recorded pool, within its 1e-6 bound
+        # every point of the benchmark's recorded pool, within its 1e-6 bound, and every bit of
+        # each family's values as pinned in POOL_SHA256
         cases = json.loads(ORACLE_POOL.read_text(encoding="utf-8"))["cases"]
-        bad = []
+        bad, digests = [], {}
         for case in cases:
             stat = TestStatistic(
                 Family(case["family"]), case["value"], df1=case.get("df1"), df2=case.get("df2")
@@ -632,7 +642,9 @@ class TestClosedFormAgainstOracle:
             got, closed = log_bf_quadrature(stat, case["tau2"]), case["ref"]["log_bf"]
             if not abs(got - closed) <= 1e-6 * abs(closed):
                 bad.append((stat, case["tau2"], got, closed))
+            digests.setdefault(case["family"], hashlib.sha256()).update(f"{got.hex()}\n".encode())
         assert cases and not bad
+        assert {family: d.hexdigest() for family, d in digests.items()} == POOL_SHA256
 
 
 class TestMixtureMarginals:
