@@ -3,9 +3,10 @@
 The package namespace holds the serving path: closed-form Bayes factors
 indexed by standardized effect size, curves and their combination across
 replicated studies, and exports; it needs numpy only. The verification path
-lives in the modules that own it and loads scipy: `bff.oracle` recomputes
-every closed form by direct integration, on top of `bff.numerics`
-(quadrature, series) and `bff.priors` (the explicit prior densities).
+lives in the modules that own it: `bff.oracle` recomputes every closed form
+by direct integration, on top of `bff.numerics` (quadrature, series) and
+`bff.priors` (the explicit prior densities). scipy loads on the first
+quadrature, not when these modules are imported.
 """
 
 from .bayes_factors import (

@@ -29,7 +29,12 @@ _REFINE_TOL = 1e-6
 # 17-fold
 _K = 33
 _SPREAD = np.linspace(0.0, 1.0, _K + 2)  # a bracket's ends and _K interior points
-_BLOCK = 2**15  # studies x omegas per kernel call: 256 KiB temporaries, cached and reused
+_BLOCK = 2**15  # studies x omegas per kernel call: 256 KiB temporaries
+# glibc maps blocks past its mmap threshold (128 KiB at start) and raises it only when a mapped
+# block is freed (mallopt(3)); until then each kernel block faults its temporaries anew, about
+# 1 400 minor faults per combine of two studies on 100 000 omegas, 0 after. Freeing one untouched
+# 8 MiB array raises it (32 MiB is past DEFAULT_MMAP_THRESHOLD_MAX); off glibc it does nothing.
+np.empty(2**20)
 
 
 @dataclass(frozen=True)

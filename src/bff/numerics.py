@@ -4,7 +4,8 @@ Everything downstream (priors, Bayes factors, the verification oracle) works
 in log space, so the primitives here are the log-space special functions plus
 two guarded reducers: an adaptive quadrature wrapper that refuses to return a
 result whose error estimate exceeds the requested tolerance, and a series
-summer with an explicit truncation policy.
+summer with an explicit truncation policy. Importing it loads no scipy:
+`quad` and `ive` load on first use.
 """
 
 from __future__ import annotations
@@ -13,8 +14,16 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from scipy.integrate import quad
-from scipy.special.cython_special import ive  # scalar I_nu(x) e^-x (Amos 1986, ACM TOMS 644)
+
+def __getattr__(name: str):
+    """Import quad and scalar ive = I_nu(x) e^-x (Amos 1986, ACM TOMS 644) as globals (PEP 562)."""
+    if name not in ("quad", "ive"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.integrate import quad
+    from scipy.special.cython_special import ive
+
+    globals().update(quad=quad, ive=ive)
+    return globals()[name]
 
 
 class IntegrationError(ArithmeticError):
@@ -115,7 +124,9 @@ def integrate(
         inside = [x for x in breakpoints if lower < x < upper]
         if inside and (math.isinf(lower) or math.isinf(upper)):
             raise ValueError("breakpoints require finite integration bounds")
-    out = quad(
+    if "quad" not in globals():
+        __getattr__("quad")
+    out = quad(  # the module global, which a tracer may have replaced
         guarded,
         lower,
         upper,

@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 
+from . import numerics
 from .bayes_factors import Family, TestStatistic
 from .numerics import (
     DEFAULT_QUADRATURE,
@@ -25,7 +26,6 @@ from .numerics import (
     QuadratureSpec,
     SeriesError,
     integrate,
-    ive,
     log_beta,
     log_gamma,
 )
@@ -140,25 +140,32 @@ _DENSITIES = {
 }
 
 
-def _ncx2_ratio_fn(h: float, k: int, log_null: float):
+def _ncx2_ratio_fn(h: float, k: int):
     """lam -> ln p(h | lam)/p(h | 0) = ln Gamma(k/2) - nu ln(x/2) + ln ive(nu, x) + x - lam/2.
 
     nu = k/2 - 1, x = sqrt(lam h), ive(nu, x) = I_nu(x) e^-x (Johnson, Kotz & Balakrishnan 1995,
-    ch. 29); nu, sqrt(h) and ln Gamma(k/2) are taken once. Where ive is not a comfortably normal
-    double (large k at small x, where the series mode is small) or x = 0, it is the Poisson walk.
+    ch. 29); nu, sqrt(h), ln Gamma(k/2) and ive are taken once. Where ive is not a comfortably
+    normal double (large k at small x) or x = 0, it is the ratio's own Poisson series
+    e^(-lam/2) sum (lam h/4)^i/(i! (k/2)_i), with no null density to cancel; at h = 0, -lam/2.
     """
-    nu, sqrt_h, lg = 0.5 * k - 1.0, math.sqrt(h), log_gamma(0.5 * k)
+    nu, sqrt_h, lg, ive = 0.5 * k - 1.0, math.sqrt(h), log_gamma(0.5 * k), numerics.ive
+    log_half_h = math.log(h) - _LN2 if h > 0.0 else 0.0  # 0.5 * h is 0 at h = 5e-324
+
+    def central(i: int) -> float:
+        return lg - log_gamma(0.5 * k + i) + i * log_half_h
 
     def log_ratio(lam: float) -> float:
         if (x := math.sqrt(lam) * sqrt_h) > 0.0 and 1e-300 < (b := ive(nu, x)) < math.inf:
             return lg - nu * math.log(0.5 * x) + math.log(b) + x - 0.5 * lam
-        return _DENSITIES[Family.CHISQ](h, lam, k, None) - log_null
+        if h == 0.0:
+            return -0.5 * lam
+        return _poisson_series_log_density(lam, central, 0.5 * k, 0.25 * lam * h, 0.0)
 
     return log_ratio
 
 
-def _ncx2_log_ratio(h: float, lam: float, k: int, log_null: float) -> float:
-    return _ncx2_ratio_fn(h, k, log_null)(lam)
+def _ncx2_log_ratio(h: float, lam: float, k: int) -> float:
+    return _ncx2_ratio_fn(h, k)(lam)
 
 
 def _log_bf_window(logs, peaks, lo, hi, scale, quad_spec: QuadratureSpec) -> float:
@@ -246,7 +253,7 @@ def _gamma_root_log_density(prior: GammaNCPPrior) -> tuple[float, float]:
     return prior.shape * math.log(prior.rate) - math.lgamma(prior.shape) + math.log(2.0), prior.rate
 
 
-def _log_bf_chisq_root(h: float, k: int, tau2: float, log_null: float, quad_spec) -> float:
+def _log_bf_chisq_root(h: float, k: int, tau2: float, quad_spec) -> float:
     """ln BF10 of a chi-squared statistic in one quadrature over s = sqrt(lam), in posterior sds.
 
     s is about N(v sqrt(h), v) at large h, v = tau2/(1 + tau2), so p(h | s^2)/p(h | 0) pi(s^2) 2s
@@ -260,7 +267,7 @@ def _log_bf_chisq_root(h: float, k: int, tau2: float, log_null: float, quad_spec
     (c, rate), v = _gamma_root_log_density(GammaNCPPrior(k, tau2)), tau2 / (1.0 + tau2)
     if math.isinf(rate):
         raise IntegrationError(f"gamma prior rate 1/(2 tau2) overflows at tau2 {tau2!r}")
-    sv, c, log_ratio = math.sqrt(v), c + 0.5 * math.log(v), _ncx2_ratio_fn(h, k, log_null)
+    sv, c, log_ratio = math.sqrt(v), c + 0.5 * math.log(v), _ncx2_ratio_fn(h, k)
     sm = 0.5 * (v * math.sqrt(h) + math.sqrt(v * v * h + 4.0 * v * (k + 1.0)))
 
     def logs(z: float) -> tuple[float, float, float]:
@@ -342,7 +349,7 @@ def log_bf_quadrature(
     if family is Family.F:
         return _log_bf_scale(x, df1, df2, tau2, quad_spec)
     if family is Family.CHISQ:
-        return _log_bf_chisq_root(x, df1, tau2, log_null, quad_spec)
+        return _log_bf_chisq_root(x, df1, tau2, quad_spec)
     return _log_bf_z(x, tau2, quad_spec)
 
 

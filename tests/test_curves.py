@@ -1,7 +1,11 @@
 """Tests for curve evaluation, refinement, crossings, and combination."""
 
 import math
+import os
+import platform
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -398,6 +402,36 @@ class TestBlockedSweep:
         monkeypatch.setattr(curves, "_BLOCK", block)
         assert _StudySum(members)(omegas).tobytes() == whole.tobytes()
         assert _StudySum(members)(omegas[:0]).shape == (0,)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mmap threshold")
+    def test_block_temporaries_reuse_the_heap(self):
+        # a block's temporaries are past glibc's initial mmap threshold, so unless the threshold
+        # has been raised every block maps and faults them again. Importing scipy first used to
+        # decide that; counting faults, not time, cannot flake on a loaded machine
+        src = str(Path(curves.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        script = "\n".join([
+            "import resource",
+            "import scipy.integrate",
+            "from bff import Design, EffectGrid, Family, Study, StudyDesign, TestStatistic",
+            "from bff import combine",
+            "t = TestStatistic(Family.T, 2.5, df1=40)",
+            "z = TestStatistic(Family.Z, 1.8)",
+            "members = [Study(t, StudyDesign(Design.ONE_SAMPLE_T, n=41)),",
+            "           Study(z, StudyDesign(Design.ONE_SAMPLE_Z, n=300))]",
+            "grid = EffectGrid(steps=100_000)",
+            "combine(members, grid)",
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
+            "for _ in range(5):",
+            "    combine(members, grid)",
+            "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)",
+        ])
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout.splitlines()[-1]) < 50
 
 
 @st.composite

@@ -312,12 +312,11 @@ class TestChisqRootRoute:
     # budget (h 1e6 on, at v near 1) only the Bessel ratio runs
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(log_uniform(1e-3, 1e8), log_uniform(1.0, 1e4).map(round), log_uniform(1e-30, 1e30))
-    # ive underflows at large k and small x, where ln r falls back to the walk, which subtracts
-    # log densities of size h/2: one ulp of 1.65e8 is 3e-8, against ln BF10 near 0.0025
-    @example(330071913.1611425, 1320, 1.5341322007069124e-11).xfail(
-        raises=AssertionError, reason="the walk's ln r carries ulps of ln p(h | 0) at large h")
-    @example(1.525e8, 3459, 2.38e-11).xfail(
-        raises=AssertionError, reason="the walk's ln r carries ulps of ln p(h | 0) at large h")
+    # ive underflows at large k and small x, where ln r falls back to its own series: a walk
+    # that subtracted log densities of size h/2 (one ulp of 1.65e8 is 3e-8) failed both, against
+    # ln BF10 near 0.0025
+    @example(330071913.1611425, 1320, 1.5341322007069124e-11)
+    @example(1.525e8, 3459, 2.38e-11)
     def test_matches_closed_form(self, h, k, tau2):
         stat = TestStatistic(Family.CHISQ, h, df1=k)
         assert math.isclose(
@@ -344,7 +343,7 @@ class TestChisqRootRoute:
 
 
 class TestChisqBesselRatio:
-    """p(h | lam)/p(h | 0) from the exponentially scaled Bessel function, the walk its fallback."""
+    """p(h | lam)/p(h | 0) from the exponentially scaled Bessel function, a series as fallback."""
 
     @pytest.mark.parametrize(
         "h, lam, k, expected",
@@ -361,7 +360,7 @@ class TestChisqBesselRatio:
         # 40-digit references from mpmath: ln Gamma(k/2) (x/2)^-nu I_nu(x) e^(-lam/2), x =
         # sqrt(lam h). At h 1e5 the walk is 1.5e-11 off, as it subtracts two log densities of
         # size 5e4; at h 1e7 its mode lies past max_terms
-        got = _ncx2_log_ratio(h, lam, k, log_density_null(Family.CHISQ, h, k))
+        got = _ncx2_log_ratio(h, lam, k)
         assert math.isclose(got, expected, rel_tol=1e-14, abs_tol=1e-14)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 6, 30, 200])
@@ -370,30 +369,32 @@ class TestChisqBesselRatio:
         # 28 of them at k 200, h = lam = 100, where the Bessel form is 2 off mpmath. ive(99, x)
         # underflows below x near 0.1, so at k 200 the grid starts at h 1
         walk = _DENSITIES[Family.CHISQ]
+        cases = [
+            (h, lam, walk(h, lam, k, None) - walk(h, 0.0, k, None), walk(h, 0.0, k, None))
+            for h in (1e-3, 0.1, 1.0, 12.65, 100.0, 1e3, 1e4, 1e5)[2 if k == 200 else 0 :]
+            for lam in (0.1, 1.0, 10.0, h / 4, h)
+        ]
 
         def refuse(*args):
-            raise AssertionError("the Bessel ratio fell back to the walk")
+            raise AssertionError("the Bessel ratio fell back to its series")
 
-        monkeypatch.setitem(_DENSITIES, Family.CHISQ, refuse)
-        for h in (1e-3, 0.1, 1.0, 12.65, 100.0, 1e3, 1e4, 1e5)[2 if k == 200 else 0 :]:
-            log_null = walk(h, 0.0, k, None)
-            for lam in (0.1, 1.0, 10.0, h / 4, h):
-                expected = walk(h, lam, k, None) - log_null
-                got = _ncx2_log_ratio(h, lam, k, log_null)
-                assert abs(got - expected) <= 64 * 2.0**-52 * max(1.0, abs(log_null))
+        monkeypatch.setattr(bff.oracle, "_poisson_series_log_density", refuse)
+        for h, lam, expected, log_null in cases:
+            got = _ncx2_log_ratio(h, lam, k)
+            assert abs(got - expected) <= 64 * 2.0**-52 * max(1.0, abs(log_null))
 
     @pytest.mark.parametrize("k", [200, 1000])
     def test_falls_back_to_the_walk_where_ive_underflows(self, k, monkeypatch):
         # I_nu(x) e^-x underflows at the window's small-s end: taken as is, its log was a
-        # "math domain error"
+        # "math domain error". The walk sums the ratio's own series there
         calls = []
-        walk = _DENSITIES[Family.CHISQ]
+        walk = bff.oracle._poisson_series_log_density
 
         def counted(*args):
             calls.append(args)
             return walk(*args)
 
-        monkeypatch.setitem(_DENSITIES, Family.CHISQ, counted)
+        monkeypatch.setattr(bff.oracle, "_poisson_series_log_density", counted)
         stat = TestStatistic(Family.CHISQ, 5.0, df1=k)
         assert math.isclose(
             log_bf_quadrature(stat, 3.0), log_bf(stat, 3.0), rel_tol=1e-6, abs_tol=1e-9
@@ -405,11 +406,11 @@ class TestChisqBesselRatio:
     )
     def test_statistic_near_zero(self, h, k):
         # ln r = -lam/2 + ln 0F1(; k/2; lam h/4) -> -lam/2 as h -> 0. At h = 0 (x = 0, where
-        # ln(x/2) is undefined) and at k 200 (ive underflows) the walk runs, within ulps of
-        # ln p(h | 0); only k = 2 has a finite null density at h = 0
+        # ln(x/2) is undefined) it is -lam/2, and at k 200 (ive underflows) the ratio's own
+        # series runs; only k = 2 has a finite null density at h = 0
         log_null = log_density_null(Family.CHISQ, h, k)
         for lam in (1e-3, 1.0, 30.0):
-            got, expected = _ncx2_log_ratio(h, lam, k, log_null), -0.5 * lam + lam * h / (2.0 * k)
+            got, expected = _ncx2_log_ratio(h, lam, k), -0.5 * lam + lam * h / (2.0 * k)
             assert abs(got - expected) <= 1e-15 + 4 * 2.0**-52 * max(1.0, abs(log_null))
 
 
@@ -681,8 +682,8 @@ class TestMixtureMarginals:
 
 
 def test_oracle_loads_no_module_that_numerics_does_not():
-    # every bench worker imports the oracle, so it adds no import: its scipy (quad and ive)
-    # comes through numerics. A fresh interpreter, as this one has long since imported both
+    # every bench worker imports the oracle, so it adds no import: neither loads scipy until a
+    # quadrature runs. A fresh interpreter, as this one has long since imported both
     src = str(Path(bff.oracle.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
@@ -698,3 +699,30 @@ def test_oracle_loads_no_module_that_numerics_does_not():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_scipy_loads_on_the_first_quadrature():
+    # serving and the bench workers that never integrate import the oracle and pay for no
+    # scipy; the names stay reachable as module attributes
+    names = ["scipy.integrate", "scipy.special"]
+    src = str(Path(bff.oracle.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    script = "\n".join([
+        "import json, sys",
+        "import bff.numerics, bff.oracle",
+        "from bff.bayes_factors import Family, TestStatistic",
+        f"names = {names!r}",
+        "before = [m for m in names if m in sys.modules]",
+        "bff.oracle.log_bf_quadrature(TestStatistic(Family.CHISQ, 5.0, df1=3), 1.0)",
+        "after = [m for m in names if m in sys.modules]",
+        "import scipy.integrate, scipy.special.cython_special as cs",
+        "from bff.numerics import ive",
+        "same = [getattr(bff.numerics, 'quad') is scipy.integrate.quad, ive is cs.ive]",
+        "print(json.dumps([before, after, same]))",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[], names, [True, True]]
