@@ -11,14 +11,12 @@ quadrature, not when these modules are imported.
 
 from .bayes_factors import (
     Family,
-    OddsValue,
     TestStatistic,
     log_bf,
     log_bf_chisq,
     log_bf_f,
     log_bf_t,
     log_bf_z,
-    posterior_odds,
 )
 from .curves import (
     BFFCurve,
@@ -34,7 +32,6 @@ from .effect_sizes import (
     EffectSize,
     StudyDesign,
     Zone,
-    classify_zone,
     rmses,
     statistic_family_for,
     tau2_for,

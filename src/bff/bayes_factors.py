@@ -9,13 +9,14 @@ statistic before any power of it, so the functions stay finite for
 statistics and scales far beyond the plotted ranges.
 
 Every form takes numpy arrays and broadcasts them, so one implementation
-serves a single point and a whole grid; a scalar call returns a float. Each
-kernel comes in two halves, per-study constants and the terms in tau2, so a
-curve computes the constants once per study. ln BF10 is the authoritative
-value; `linear_bf` turns it into BF10 and saturates to inf where the Bayes
-factor exceeds the largest double. Where ln BF10 lies past the largest double
-(degrees of freedom near it), a form returns +-inf, or nan where the F df terms
-overflow both ways, with no numpy warning; a curve names it not finite.
+serves a single point and a whole grid; a scalar call returns a float, and
+the statistic and its dfs are taken as doubles. Three kernels serve the four
+forms, t on F's as t^2 on nu df is F on (1, nu) df, each in two halves:
+per-study constants and the terms in tau2, which a curve evaluates at every
+omega. ln BF10 is the authoritative value; `linear_bf` turns it into BF10,
+inf past the largest double. Where ln BF10 lies past the largest double (dfs
+near it), a form returns +-inf, or nan where the F df terms overflow both
+ways, with no numpy warning; a curve names it not finite.
 """
 
 from __future__ import annotations
@@ -80,17 +81,6 @@ def form_args(stat: TestStatistic) -> tuple:
     return (stat.value, *(getattr(stat, field) for field in DF_FIELDS[stat.family]))
 
 
-@dataclass(frozen=True)
-class OddsValue:
-    """A Bayes factor carried as ln BF10; positive favors the alternative."""
-
-    log_bf10: float
-
-    @property
-    def bf10(self) -> float:
-        return linear_bf(self.log_bf10)
-
-
 def linear_bf(log_bf10: float) -> float:
     """BF10 = exp(ln BF10), or inf where it exceeds the largest double.
 
@@ -133,30 +123,14 @@ def _z(z, tau2):
         return -1.5 * np.log1p(tau2) + np.log1p(w) + 0.5 * w
 
 
-def _tf_terms(x, lp, tau2, c, half_df):
-    """The data terms that the t and F forms share, from logs only.
-
-    x is ln a and lp is ln(1 + tau2), where a is t^2/nu (t) or k f/m (F).
-    With b = a/(1 + tau2), ln(1 + a) - ln(1 + b) = ln(1 + g) for
-    g = tau2 b/(1 + b), so the terms are half_df ln(1 + g) + ln(1 + c g).
-    g is formed as tau2 / (1 + e^(lp - x)) in log space: it never exceeds
-    tau2, whatever the size of the statistic, and no difference cancels.
-    Where c g overflows, ln(1 + c g) = ln c + ln g to within 1/(c g).
-    """
-    g = tau2 * np.exp(-np.logaddexp(0.0, lp - x))
-    lcg = _finite_or(np.log1p(c * g), lambda c, g: np.log(c) + np.log(g), c, g)
-    return half_df * np.log1p(g) + lcg
-
-
 def _t_constants(t, nu):
+    # F's constants for t^2 on (1, nu) df, from ln|t|: t^2 itself overflows past |t| ~ 1.3e154
     with np.errstate(divide="ignore"):  # ln 0 = -inf at t = 0 is exact
-        return 2.0 * np.log(np.abs(t)) - np.log(nu), nu + 1.0, 0.5 * (nu + 1.0)
+        return 2.0 * np.log(np.abs(t)) - np.log(nu), -1.5, nu + 1.0, 0.5 * (nu + 1.0)
 
 
-def _t(x, c, half_df, tau2):
-    lp = np.log1p(tau2)
-    with np.errstate(divide="ignore", over="ignore"):
-        return -1.5 * lp + _tf_terms(x, lp, tau2, c, half_df)
+def _chisq_constants(h, k):
+    return h + 0.0, k, -(0.5 * k + 1.0)
 
 
 def _chisq(h, k, a, tau2):
@@ -173,65 +147,78 @@ def _f_constants(f, k, m):
 
 
 def _f(x, a, c, half_df, tau2):
+    """ln BF10 for F on (k, m) df, or t on nu df as F on (1, nu), from logs only.
+
+    x is ln r and lp is ln(1 + tau2), where r is k f/m (t^2/nu for t). With b = r/(1 + tau2),
+    ln(1 + r) - ln(1 + b) = ln(1 + g) for g = tau2 b/(1 + b), so ln BF10 is
+    a lp + half_df ln(1 + g) + ln(1 + c g). g is formed as tau2 / (1 + e^(lp - x)): it never
+    exceeds tau2, whatever the size of the statistic, and no difference cancels. Where c g
+    overflows, ln(1 + c g) = ln c + ln g to within 1/(c g).
+    """
     lp = np.log1p(tau2)
     # the two df terms past the largest double give nan
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return a * lp + _tf_terms(x, lp, tau2, c, half_df)
+        g = tau2 * np.exp(-np.logaddexp(0.0, lp - x))
+        lcg = _finite_or(np.log1p(c * g), lambda c, g: np.log(c) + np.log(g), c, g)
+        return a * lp + (half_df * np.log1p(g) + lcg)
 
 
 # each family's kernel in two halves: per-study constants from the statistic and its
 # dfs alone, and ln BF10 from them and tau2. A kernel is the public form without its
-# argument checks, in an errstate that ignores overflow: _finite_or replaces the
-# products that may overflow, and a term past the largest double is +-inf. h + 0.0 is
-# h except that a chi-squared -0.0 becomes 0.0, so ln BF10 at tau2 = 0 is 0.0, never -0.0.
+# argument checks, in an errstate that ignores overflow: _finite_or replaces the products
+# that may overflow, and a term past the largest double is +-inf. h + 0.0 is h except
+# that a chi-squared -0.0 becomes 0.0, so ln BF10 at tau2 = 0 is 0.0, never -0.0.
 SPLIT_KERNELS = {
     Family.Z: (lambda z: (z,), _z),
-    Family.T: (_t_constants, _t),
-    Family.CHISQ: (lambda h, k: (h + 0.0, k, -(0.5 * k + 1.0)), _chisq),
+    Family.T: (_t_constants, _f),
+    Family.CHISQ: (_chisq_constants, _chisq),
     Family.F: (_f_constants, _f),
 }
 
 
-def _whole(constants, kernel):
-    """The kernel on a statistic, its dfs and tau2: its constants, then ln BF10."""
-    return lambda *args: kernel(*constants(*args[:-1]), args[-1])
-
-
-KERNELS = {family: _whole(*halves) for family, halves in SPLIT_KERNELS.items()}
+def _double(x, name):
+    """x as a double (an array of them for an array), exact below 2**53, as a curve takes it."""
+    try:
+        return np.asarray(x, dtype=float) if isinstance(x, np.ndarray) else float(x)
+    except OverflowError:  # an integer past the largest double
+        raise ValueError(f"{name} is larger than the largest double") from None
 
 
 def log_bf_z(z, tau2):
     """ln BF10 for a z statistic under a J(0, tau2) prior on the mean shift."""
     _check_tau2(tau2)
-    return _result(KERNELS[Family.Z](z, tau2))
+    return _result(_z(_double(z, "z"), tau2))
 
 
 def log_bf_t(t, nu, tau2):
     """ln BF10 for a t statistic on nu df under a J(0, tau2) prior."""
+    t, nu = _double(t, "t"), _double(nu, "nu")
     if np.any(nu < 1):
         raise ValueError(f"nu must be >= 1, got {np.min(nu)}")
     _check_tau2(tau2)
-    return _result(KERNELS[Family.T](t, nu, tau2))
+    return _result(_f(*_t_constants(t, nu), tau2))
 
 
 def log_bf_chisq(h, k, tau2):
     """ln BF10 for a chi-squared statistic h on k df under a gamma prior."""
+    h, k = _double(h, "h"), _double(k, "k")
     if np.any(h < 0):
         raise ValueError(f"h must be >= 0, got {np.min(h)}")
     if np.any(k < 1):
         raise ValueError(f"k must be >= 1, got {np.min(k)}")
     _check_tau2(tau2)
-    return _result(KERNELS[Family.CHISQ](h, k, tau2))
+    return _result(_chisq(*_chisq_constants(h, k), tau2))
 
 
 def log_bf_f(f, k, m, tau2):
     """ln BF10 for an F statistic on (k, m) df under a gamma prior."""
+    f, k, m = _double(f, "f"), _double(k, "k"), _double(m, "m")
     if np.any(f < 0):
         raise ValueError(f"f must be >= 0, got {np.min(f)}")
     if np.any(k < 1) or np.any(m < 1):
         raise ValueError(f"degrees of freedom must be >= 1, got ({np.min(k)}, {np.min(m)})")
     _check_tau2(tau2)
-    return _result(KERNELS[Family.F](f, k, m, tau2))
+    return _result(_f(*_f_constants(f, k, m), tau2))
 
 
 # each family's public form, which checks its arguments
@@ -246,9 +233,3 @@ def log_bf(stat: TestStatistic, tau2):
     """
     return FORMS[stat.family](*form_args(stat), tau2)
 
-
-def posterior_odds(bf: OddsValue, prior_odds: float) -> float:
-    """Posterior odds of H1 to H0: BF10 times the prior odds."""
-    if prior_odds <= 0:
-        raise ValueError(f"prior_odds must be > 0, got {prior_odds}")
-    return bf.bf10 * prior_odds

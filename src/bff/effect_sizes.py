@@ -140,7 +140,3 @@ def zone_index(omegas):
     """The index into ZONES of each omega's band: how many ZONE_BOUNDS lie at or below it."""
     return np.searchsorted(ZONE_BOUNDS, omegas, side="right")
 
-
-def classify_zone(effect: EffectSize) -> Zone:
-    """Band membership for omega-tilde; intervals are closed on the left."""
-    return ZONES[zone_index(effect.omega_tilde)]

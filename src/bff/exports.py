@@ -176,8 +176,9 @@ def render_csv(export: CurveExport) -> str:
 def parse_csv(text: str) -> CurveExport:
     """Inverse of render_csv; parse(render(x)) re-renders byte-identically.
 
-    A row whose bf10 or zone disagrees with omega and log_bf10, a log_bf10 or max_log_bf10
-    that is not finite, or a max_bf10 that disagrees with max_log_bf10, is a ValueError.
+    A data row without exactly 4 fields, a row whose bf10 or zone disagrees with omega and
+    log_bf10, a log_bf10 or max_log_bf10 that is not finite, or a max_bf10 that disagrees
+    with max_log_bf10, is a ValueError.
     """
     lines = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line]
     data = [(n, line) for n, line in lines if not line.startswith("#")]
@@ -187,6 +188,9 @@ def parse_csv(text: str) -> CurveExport:
     if header != ["omega", "bf10", "log_bf10", "zone"]:
         raise ValueError(f"unexpected CSV header: {header}")
     records = list(reader)
+    for (n, line), r in zip(data[1:], records):
+        if len(r) != 4:
+            raise ValueError(f"CSV line {n} needs 4 fields, has {len(r)}: {line}")
     omegas = np.array([float(r[0]) for r in records])
     log_bf10s = np.array([float(r[2]) for r in records])
     omegas.flags.writeable = log_bf10s.flags.writeable = False

@@ -164,10 +164,6 @@ def _ncx2_ratio_fn(h: float, k: int):
     return log_ratio
 
 
-def _ncx2_log_ratio(h: float, lam: float, k: int) -> float:
-    return _ncx2_ratio_fn(h, k)(lam)
-
-
 def _log_bf_window(logs, peaks, lo, hi, scale, quad_spec: QuadratureSpec) -> float:
     """ln BF10 = ln of the integral of w r over (lo, hi), in a posterior's sds; every route's tail.
 

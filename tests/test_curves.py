@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bff import curves
-from bff.bayes_factors import KERNELS, Family, TestStatistic, form_args, log_bf
+from bff.bayes_factors import SPLIT_KERNELS, Family, TestStatistic, form_args, log_bf
 from bff.curves import (
     BFFCurve,
     EffectGrid,
@@ -383,7 +383,8 @@ class TestPerStudyConstants:
             assert any(s.statistic.value == 0.0 for s in members)
             rows = [(*form_args(s.statistic), tau2_scale(s.design)) for s in members]
             *data, scale = (np.array(xs, dtype=float)[:, None] for xs in zip(*rows))
-            columns = KERNELS[family](*data, scale * w2)  # (N, 1) x (1, S), as a curve has them
+            constants, kernel = SPLIT_KERNELS[family]
+            columns = kernel(*constants(*data), scale * w2)  # (N, 1) x (1, S), as a curve has them
             for s, column in zip(members, columns):
                 assert _StudySum((s,)).unchecked(omegas).tobytes() == column.tobytes()
             with np.errstate(invalid="ignore", over="ignore"):

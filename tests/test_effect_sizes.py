@@ -13,7 +13,6 @@ from bff.effect_sizes import (
     StudyDesign,
     ZONES,
     Zone,
-    classify_zone,
     rmses,
     statistic_family_for,
     tau2_for,
@@ -187,27 +186,21 @@ class TestFamilyMap:
 
 class TestZones:
     def test_representative_points(self):
-        assert classify_zone(EffectSize(0.0)) is Zone.VERY_SMALL
-        assert classify_zone(EffectSize(0.05)) is Zone.VERY_SMALL
-        assert classify_zone(EffectSize(0.2)) is Zone.SMALL
-        assert classify_zone(EffectSize(0.5)) is Zone.MEDIUM
-        assert classify_zone(EffectSize(0.8)) is Zone.LARGE
+        assert ZONES[zone_index(0.0)] is Zone.VERY_SMALL
+        assert ZONES[zone_index(0.05)] is Zone.VERY_SMALL
+        assert ZONES[zone_index(0.2)] is Zone.SMALL
+        assert ZONES[zone_index(0.5)] is Zone.MEDIUM
+        assert ZONES[zone_index(0.8)] is Zone.LARGE
 
     def test_left_closed_boundaries(self):
-        assert classify_zone(EffectSize(0.1)) is Zone.SMALL
-        assert classify_zone(EffectSize(0.35)) is Zone.MEDIUM
-        assert classify_zone(EffectSize(0.65)) is Zone.LARGE
+        assert ZONES[zone_index(0.1)] is Zone.SMALL
+        assert ZONES[zone_index(0.35)] is Zone.MEDIUM
+        assert ZONES[zone_index(0.65)] is Zone.LARGE
 
-    def test_zone_index_is_classify_zone_on_arrays(self):
+    def test_zone_index_on_arrays_is_its_scalars(self):
         omegas = np.array([0.0, 0.05, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, math.inf])
-        assert [ZONES[i] for i in zone_index(omegas)] == [
-            classify_zone(EffectSize(w)) for w in omegas.tolist()
-        ]
+        assert zone_index(omegas).tolist() == [zone_index(w) for w in omegas.tolist()]
 
     @given(st.floats(0.0, 2.0, allow_nan=False), st.floats(0.0, 2.0, allow_nan=False))
     def test_monotone_in_omega(self, a, b):
-        order = [Zone.VERY_SMALL, Zone.SMALL, Zone.MEDIUM, Zone.LARGE]
-        lo, hi = min(a, b), max(a, b)
-        assert order.index(classify_zone(EffectSize(lo))) <= order.index(
-            classify_zone(EffectSize(hi))
-        )
+        assert zone_index(min(a, b)) <= zone_index(max(a, b))

@@ -228,6 +228,14 @@ class TestCsv:
         with pytest.raises(ValueError, match="max_bf10 999 disagrees"):
             parse_csv(text.replace(line, "# max_bf10 999"))
 
+    @pytest.mark.parametrize("row, fields", [("0,1,0", 3), ("0,1,0,very small,extra", 5)])
+    def test_rejects_a_row_without_four_fields(self, row, fields):
+        # a 5-field row that parsed would re-render to other bytes: no exact round trip
+        summary = "# max_bf10 1\n# max_log_bf10 0\n# argmax_omega 0\n# crossings_bf1\n"
+        parse_csv(f"omega,bf10,log_bf10,zone\n0,1,0,very small\n{summary}")
+        with pytest.raises(ValueError, match=f"line 2 needs 4 fields, has {fields}"):
+            parse_csv(f"omega,bf10,log_bf10,zone\n{row}\n{summary}")
+
     @pytest.mark.parametrize("bf10, log_bf10", [("inf", "inf"), ("0", "-inf"), ("nan", "nan")])
     def test_rejects_log_bf10_that_is_not_finite(self, bf10, log_bf10):
         # bf10 agrees with log_bf10, yet such a row renders as JSON no parser reads

@@ -25,7 +25,7 @@ from bff.oracle import (
     _DENSITIES,
     _gamma_root_log_density,
     _log_bf_window,
-    _ncx2_log_ratio,
+    _ncx2_ratio_fn,
     _nm_root_log_density,
     log_bf_quadrature,
     log_density_null,
@@ -360,7 +360,7 @@ class TestChisqBesselRatio:
         # 40-digit references from mpmath: ln Gamma(k/2) (x/2)^-nu I_nu(x) e^(-lam/2), x =
         # sqrt(lam h). At h 1e5 the walk is 1.5e-11 off, as it subtracts two log densities of
         # size 5e4; at h 1e7 its mode lies past max_terms
-        got = _ncx2_log_ratio(h, lam, k)
+        got = _ncx2_ratio_fn(h, k)(lam)
         assert math.isclose(got, expected, rel_tol=1e-14, abs_tol=1e-14)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 6, 30, 200])
@@ -380,7 +380,7 @@ class TestChisqBesselRatio:
 
         monkeypatch.setattr(bff.oracle, "_poisson_series_log_density", refuse)
         for h, lam, expected, log_null in cases:
-            got = _ncx2_log_ratio(h, lam, k)
+            got = _ncx2_ratio_fn(h, k)(lam)
             assert abs(got - expected) <= 64 * 2.0**-52 * max(1.0, abs(log_null))
 
     @pytest.mark.parametrize("k", [200, 1000])
@@ -410,7 +410,7 @@ class TestChisqBesselRatio:
         # series runs; only k = 2 has a finite null density at h = 0
         log_null = log_density_null(Family.CHISQ, h, k)
         for lam in (1e-3, 1.0, 30.0):
-            got, expected = _ncx2_log_ratio(h, lam, k), -0.5 * lam + lam * h / (2.0 * k)
+            got, expected = _ncx2_ratio_fn(h, k)(lam), -0.5 * lam + lam * h / (2.0 * k)
             assert abs(got - expected) <= 1e-15 + 4 * 2.0**-52 * max(1.0, abs(log_null))
 
 
