@@ -55,9 +55,11 @@ class TestStatistic:
     df2: int | None = None
 
     def __post_init__(self) -> None:
+        name, carried = self.family.value, DF_FIELDS[self.family]
+        if isinstance(self.value, int) and abs(self.value) > sys.float_info.max:
+            raise ValueError(f"{name} statistic's value is past the largest double in magnitude")
         if isinstance(self.value, bool) or not math.isfinite(self.value):
             raise ValueError(f"statistic value must be a finite number, got {self.value!r}")
-        name, carried = self.family.value, DF_FIELDS[self.family]
         check_fits_double(self, ("df1", "df2"), f"{name} statistic's")
         for field in ("df1", "df2"):
             df = getattr(self, field)

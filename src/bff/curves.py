@@ -8,14 +8,15 @@ studies x omegas: each family's studies are stacked into columns, and one
 closed-form call per family covers each block of at most 2^15 values. One
 k-section loop on the exact function refines the grid argmax and locates the
 crossings of every threshold: each round evaluates the points of all open
-brackets in one call.
+brackets in one call. A curve sweeps its grid when built and refines its
+maximum and BF = 1 crossings on first read, or in its first export's rounds.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -137,23 +138,33 @@ class EffectGrid:
         return np.linspace(self.min, self.max, self.steps)
 
 
-@dataclass(frozen=True, eq=False)
 class BFFCurve:
     """Grid evaluations of a BFF plus its refined maximum and BF=1 crossings.
 
     omegas and log_bfs are read-only arrays of the grid and its ln BF10
     values. log_bf_fn is the exact function they sample, mapping an array of
     omegas to ln BF10; refinement and crossing searches evaluate it directly
-    rather than interpolating.
+    rather than interpolating. max_log_bf, argmax_omega and crossings, unless
+    given, are refined on first read and cached; the first threshold_crossings
+    of a curve not yet refined refines them in the same rounds.
     """
 
-    omegas: np.ndarray
-    log_bfs: np.ndarray
-    max_log_bf: float
-    argmax_omega: float
-    crossings: tuple[float, ...]
-    label: str = ""
-    log_bf_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False, default=None)
+    def __init__(
+        self, omegas: np.ndarray, log_bfs: np.ndarray, max_log_bf: float | None = None,
+        argmax_omega: float | None = None, crossings: tuple[float, ...] | None = None,
+        label: str = "", log_bf_fn: Callable[[np.ndarray], np.ndarray] | None = None,
+    ):
+        self.omegas, self.log_bfs, self.label, self.log_bf_fn = omegas, log_bfs, label, log_bf_fn
+        self._refined = None if crossings is None else (max_log_bf, argmax_omega, crossings)
+
+    def _summary(self) -> tuple[float, float, tuple[float, ...]]:
+        if self._refined is None:
+            threshold_crossings(self, ())
+        return self._refined
+
+    max_log_bf = property(lambda self: self._summary()[0])
+    argmax_omega = property(lambda self: self._summary()[1])
+    crossings = property(lambda self: self._summary()[2])
 
     @property
     def points(self) -> tuple[tuple[float, float], ...]:
@@ -182,11 +193,18 @@ def _refine(
     points and keeps the first sub-interval whose sign changes; a sample
     exactly on the threshold closes its bracket there.
     """
-    levels = np.asarray(thresholds, dtype=float)[:, None]
-    sign = np.sign(log_bfs - levels)
-    which, start = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0)
+    which, start, side = [np.empty(0, int)], [np.empty(0, int)], [np.empty(0)]
+    # one grid-sized scan per level: a levels x grid scan raises the peak memory of a large grid
+    for i, level in enumerate(thresholds):
+        sign = np.sign(log_bfs - level)
+        at = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+        which.append(np.full(at.size, i))
+        start.append(at)
+        side.append(sign[at])
+    which, start, side = np.concatenate(which), np.concatenate(start), np.concatenate(side)
     lo, hi = omegas[start], omegas[start + 1]
-    level, side = levels[which], sign[which, start, None]  # side: the sign at lo, kept throughout
+    # side: the sign at lo, kept throughout
+    level, side = np.asarray(thresholds, dtype=float)[which, None], side[:, None]
     if maximum:
         best = int(np.argmax(log_bfs))
         a = omegas[max(best - 1, 0)]
@@ -220,7 +238,7 @@ def _refine(
             hi[rows] = new_hi = ends[at, j + 1]
             lo[rows] = np.where(h[at, j] == 0, new_hi, ends[at, j])
     mids = (0.5 * (lo + hi)).tolist()
-    crossings = [tuple(m for m, w in zip(mids, which) if w == i) for i in range(len(levels))]
+    crossings = [tuple(m for m, w in zip(mids, which) if w == i) for i in range(len(thresholds))]
     if not maximum:
         return None, crossings
     omega = 0.5 * (a + b)
@@ -238,8 +256,18 @@ def refine_max(
 
 
 def threshold_crossings(curve: BFFCurve, log_thresholds: Sequence[float]) -> list[tuple]:
-    """The omegas where the curve crosses each ln BF10 threshold, in one pass."""
-    return _refine(curve.omegas, curve.log_bfs, curve.log_bf_fn, log_thresholds, False)[1]
+    """The omegas where the curve crosses each ln BF10 threshold, in one pass.
+
+    A curve not yet refined refines its maximum and BF = 1 crossings in the same rounds, on
+    the function without its grid checks: the grid passed them, and every point lies inside it.
+    """
+    if curve._refined is not None:
+        return _refine(curve.omegas, curve.log_bfs, curve.log_bf_fn, log_thresholds, False)[1]
+    fn = getattr(curve.log_bf_fn, "unchecked", curve.log_bf_fn)
+    levels = (0.0, *log_thresholds)
+    (argmax, top), (crossings, *found) = _refine(curve.omegas, curve.log_bfs, fn, levels)
+    curve._refined = (top, argmax, crossings)
+    return found
 
 
 def _build_curve(fn: _StudySum, grid: EffectGrid, label: str) -> BFFCurve:
@@ -249,17 +277,7 @@ def _build_curve(fn: _StudySum, grid: EffectGrid, label: str) -> BFFCurve:
         raise FloatingPointError("ln BF10 is not finite at some grid point")
     omegas.flags.writeable = False
     log_bfs.flags.writeable = False
-    # the grid passed fn's checks, so the rounds inside it need none
-    (argmax_omega, max_log_bf), (crossings,) = _refine(omegas, log_bfs, fn.unchecked, (0.0,))
-    return BFFCurve(
-        omegas=omegas,
-        log_bfs=log_bfs,
-        max_log_bf=max_log_bf,
-        argmax_omega=argmax_omega,
-        crossings=crossings,
-        label=label,
-        log_bf_fn=fn,
-    )
+    return BFFCurve(omegas, log_bfs, label=label, log_bf_fn=fn)
 
 
 class Sweep(NamedTuple):

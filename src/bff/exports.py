@@ -177,8 +177,9 @@ def parse_csv(text: str) -> CurveExport:
     """Inverse of render_csv; parse(render(x)) re-renders byte-identically.
 
     A data row without exactly 4 fields, a row whose bf10 or zone disagrees with omega and
-    log_bf10, a log_bf10 or max_log_bf10 that is not finite, or a max_bf10 that disagrees
-    with max_log_bf10, is a ValueError.
+    log_bf10, a log_bf10 or max_log_bf10 that is not finite, fewer than 2 data rows or a last
+    omega not above the first (a rendered curve spans an omega range), or a max_bf10 that
+    disagrees with max_log_bf10, is a ValueError.
     """
     lines = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line]
     data = [(n, line) for n, line in lines if not line.startswith("#")]
@@ -200,6 +201,9 @@ def parse_csv(text: str) -> CurveExport:
             raise ValueError(f"CSV line {n} has a log_bf10 that is not finite: {line}")
         if float(r[1]) != row.bf10 or r[3] != row.zone:
             raise ValueError(f"CSV line {n} needs bf10 {_fmt(row.bf10)}, zone {row.zone!r}: {line}")
+    if len(rows) < 2 or not omegas[-1] > omegas[0]:
+        span = f" from omega {_fmt(omegas[0])} to {_fmt(omegas[-1])}" if len(rows) else ""
+        raise ValueError(f"CSV needs 2 or more data rows spanning omega, has {len(rows)}{span}")
     fields: dict[str, float] = {}
     crossings: tuple[float, ...] = ()
     thresholds: list[ThresholdCrossings] = []

@@ -66,6 +66,12 @@ class TestTestStatistic:
         with pytest.raises(ValueError, match="finite number"):
             TestStatistic(Family.Z, value)
 
+    @pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["positive", "negative"])
+    def test_int_value_past_the_largest_double_is_named(self, value):
+        # float(value) overflows; the constructor names the field rather than let it escape
+        with pytest.raises(ValueError, match="z statistic's value is past the largest double"):
+            TestStatistic(Family.Z, value)
+
 
 class TestClosedForms:
     def test_z_reference_values(self):

@@ -25,7 +25,7 @@ from bff.curves import (
     sweep,
 )
 from bff.effect_sizes import Design, EffectSize, StudyDesign, tau2_for, tau2_scale
-from bff.exports import build_export
+from bff.exports import build_export, render
 
 Z_STUDY = Study(
     TestStatistic(Family.Z, 2.0), StudyDesign(Design.ONE_SAMPLE_Z, n=100)
@@ -295,16 +295,20 @@ class TestEvaluationCount:
         return count
 
     def test_curve_then_export(self, calls):
-        # the grid sweep, three joint k-section rounds and the maximum's midpoint
-        curve = evaluate_bff(Z_STUDY)
-        assert calls[0] <= 5
-        # three joint rounds, whatever the number of thresholds and crossings
         for thresholds, counts in [((0.2, 50.0), [1, 0]), ((0.2, 2.0, 50.0), [1, 2, 0])]:
             calls[0] = 0
+            # the grid sweep alone: nothing is refined until read
+            curve = evaluate_bff(Z_STUDY)
+            assert calls[0] == 1
+            # three k-section rounds shared by the maximum, the BF = 1 crossing and every
+            # threshold, then the maximum's midpoint, however many thresholds there are
             export = build_export(curve, thresholds)
-            assert calls[0] <= 3
+            assert calls[0] <= 5
             assert [len(b.crossings) for b in export.summary.thresholds] == counts
-
+            # a refined curve refines its thresholds alone, in three rounds
+            calls[0] = 0
+            assert build_export(curve, thresholds).summary == export.summary
+            assert calls[0] <= 3
 
     def test_rounds_evaluate_only_open_brackets(self, monkeypatch):
         sizes = []
@@ -315,7 +319,7 @@ class TestEvaluationCount:
             return original(self, omegas)
 
         monkeypatch.setattr(_StudySum, "_columns", recorded)
-        evaluate_bff(Z_STUDY, EffectGrid(steps=1000))
+        evaluate_bff(Z_STUDY, EffectGrid(steps=1000)).max_log_bf  # the first read refines
         # the grid sweep; rounds of the maximum's 35 points and the BF = 1 bracket's
         # 33, which closes after round 2, so round 3 samples the maximum alone; then
         # the maximum's midpoint
@@ -472,6 +476,26 @@ class TestBatchIndependence:
         assert (curve.argmax_omega, curve.max_log_bf) == refine_max(
             curve.omegas, curve.log_bfs, curve.log_bf_fn
         )
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.lists(studies(), min_size=1, max_size=3),
+        st.lists(st.floats(0.05, 20.0), max_size=3),
+        st.integers(10, 300),
+    )
+    def test_fields_read_before_the_export_or_after_agree(self, members, thresholds, steps):
+        # reading a field first refines the maximum and the BF = 1 crossings alone, and the
+        # export refines its thresholds in a second pass; an export built first shares one
+        grid = EffectGrid(0.0, 1.0, steps)
+        read_first, export_first = (
+            evaluate_bff(members[0], grid) if len(members) == 1 else combine(members, grid)
+            for _ in range(2)
+        )
+        fields = (read_first.max_log_bf, read_first.argmax_omega, read_first.crossings)
+        exported = [build_export(c, tuple(thresholds)) for c in (read_first, export_first)]
+        assert (export_first.max_log_bf, export_first.argmax_omega, export_first.crossings) == fields
+        for fmt in ("csv", "json", "svg"):
+            assert render(exported[0], fmt) == render(exported[1], fmt)
 
     def test_refine_max_checks_the_omegas_it_is_given(self):
         curve = evaluate_bff(Z_STUDY)

@@ -232,7 +232,7 @@ class TestCsv:
     def test_rejects_a_row_without_four_fields(self, row, fields):
         # a 5-field row that parsed would re-render to other bytes: no exact round trip
         summary = "# max_bf10 1\n# max_log_bf10 0\n# argmax_omega 0\n# crossings_bf1\n"
-        parse_csv(f"omega,bf10,log_bf10,zone\n0,1,0,very small\n{summary}")
+        parse_csv(f"omega,bf10,log_bf10,zone\n0,1,0,very small\n0.5,1,0,medium\n{summary}")
         with pytest.raises(ValueError, match=f"line 2 needs 4 fields, has {fields}"):
             parse_csv(f"omega,bf10,log_bf10,zone\n{row}\n{summary}")
 
@@ -254,6 +254,21 @@ class TestCsv:
         lines[n - 1 : n + 1] = [f"# max_bf10 {max_bf10}\n", f"# max_log_bf10 {max_log_bf10}\n"]
         with pytest.raises(ValueError, match=f"line {n + 1} has a max_log_bf10 that is not finite"):
             parse_csv("".join(lines))
+
+    @pytest.mark.parametrize(
+        "rows, problem",
+        [
+            ("", "has 0"),
+            ("0.5,1,0,medium\n", "has 1 from omega 0.5 to 0.5"),
+            ("0.5,1,0,medium\n0.5,1,0,medium\n", "has 2 from omega 0.5 to 0.5"),
+        ],
+        ids=["no rows", "one row", "equal omegas"],
+    )
+    def test_rejects_rows_that_span_no_omega_range(self, rows, problem):
+        # a rendered curve has 2 or more rows and min < max; the SVG's omega scale divides by it
+        summary = "# max_bf10 1\n# max_log_bf10 0\n# argmax_omega 0.5\n# crossings_bf1\n"
+        with pytest.raises(ValueError, match=f"2 or more data rows spanning omega, {problem}"):
+            parse_csv(f"omega,bf10,log_bf10,zone\n{rows}{summary}")
 
     def test_rejects_zone_that_is_not_omegas_zone(self):
         lines = render_csv(z_export()).splitlines(keepends=True)
