@@ -4,9 +4,9 @@ Each function returns ln BF10 for the alternative that places a normal moment
 prior (z, t) or a gamma prior (chi-squared, F) on the non-centrality
 parameter, with prior scale tau2. The printed forms of these Bayes factors
 multiply large powers by exponentials; everything here is rearranged into
-sums of log1p and logaddexp terms, and the t and F forms take the log of the
-statistic before any power of it, so the functions stay finite for
-statistics and scales far beyond the plotted ranges.
+sums of log1p terms (t and F add one exp, recomputed where it overflows), and
+the t and F forms take the log of the statistic before any power of it, so the
+functions stay finite for statistics and scales far beyond the plotted ranges.
 
 Every form takes numpy arrays and broadcasts them, so one implementation
 serves a single point and a whole grid; a scalar call returns a float, and
@@ -95,8 +95,8 @@ def linear_bf(log_bf10: float) -> float:
 
 
 def _result(value):
-    """A float for a scalar computation, the array otherwise."""
-    return value if isinstance(value, np.ndarray) else float(value)
+    """A float for a scalar computation (a numpy scalar or 0-d array), the array otherwise."""
+    return value if np.ndim(value) else float(value)
 
 
 def _check_tau2(tau2) -> None:
@@ -104,13 +104,12 @@ def _check_tau2(tau2) -> None:
         raise ValueError(f"tau2 must be > 0, got {np.min(tau2)}")
 
 
-def _finite_or(w, fallback, *args):
-    """w with only its non-finite entries recomputed, as fallback(*args) at each of them."""
-    if np.isfinite(w).all():
-        return w
-    bad = ~np.isfinite(w)
-    w = np.array(w, dtype=float)
-    w[bad] = fallback(*(np.broadcast_to(a, w.shape)[bad] for a in args))
+def _finite_or(w, fallback, *args, test=None):
+    """w with fallback(*args) at only the entries where test (w by default) is not finite."""
+    finite = np.isfinite(w if test is None else test)
+    if np.count_nonzero(finite) < finite.size:  # cheaper than .all() on a small array
+        w = np.array(w, dtype=float)
+        w[~finite] = fallback(*(np.broadcast_to(a, w.shape)[~finite] for a in args))
     return w
 
 
@@ -153,16 +152,21 @@ def _f(x, a, c, half_df, tau2):
 
     x is ln r and lp is ln(1 + tau2), where r is k f/m (t^2/nu for t). With b = r/(1 + tau2),
     ln(1 + r) - ln(1 + b) = ln(1 + g) for g = tau2 b/(1 + b), so ln BF10 is
-    a lp + half_df ln(1 + g) + ln(1 + c g). g is formed as tau2 / (1 + e^(lp - x)): it never
-    exceeds tau2, whatever the size of the statistic, and no difference cancels. Where c g
-    overflows, ln(1 + c g) = ln c + ln g to within 1/(c g).
+    a lp + half_df ln(1 + g) + ln(1 + c g). g = tau2 / (1 + e^(lp - x)) never exceeds tau2 and
+    cancels nothing; where e^(lp - x) overflows, g is e^(x - ln(1 + 1/tau2)), which stays whole
+    where tau2 e^(x - lp) underflows. Where c g overflows, ln(1 + c g) = ln c + ln g within 1/(c g).
     """
     lp = np.log1p(tau2)
-    # the two df terms past the largest double give nan
+    # in place in q and g, 0-d for a scalar; the two df terms past the largest double give nan
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        g = tau2 * np.exp(-np.logaddexp(0.0, lp - x))
-        lcg = _finite_or(np.log1p(c * g), lambda c, g: np.log(c) + np.log(g), c, g)
-        return a * lp + (half_df * np.log1p(g) + lcg)
+        q = np.asarray(lp - x, dtype=float)
+        np.add(np.exp(q, out=q), 1.0, out=q)  # inf where the exponential overflows
+        g = np.divide(tau2, q, out=np.empty_like(q))
+        g = _finite_or(g, lambda t, x: np.exp(x - np.log1p(1.0 / t)), tau2, x, test=q)
+        lcg = np.log1p(np.multiply(c, g, out=q), out=q)
+        lcg = _finite_or(lcg, lambda c, g: np.log(c) + np.log(g), c, g)
+        lg = np.multiply(half_df, np.log1p(g, out=g), out=g)
+        return np.add(a * lp, np.add(lg, lcg, out=lg), out=lg)
 
 
 # each family's kernel in two halves: per-study constants from the statistic and its

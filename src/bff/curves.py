@@ -80,7 +80,7 @@ class _StudySum:
             self._groups.append((kernel, constants(*data), scale))
         # the largest omega with every c * omega^2 finite; c below 1 counts as 1,
         # which keeps omega^2 itself finite
-        c = max(max(tau2_scale(s.design) for s in studies), 1.0)
+        c = max(max(float(scale.max()) for *_, scale in self._groups), 1.0)
         self._omega_max = math.sqrt(sys.float_info.max / c)
         while not math.isfinite(c * (self._omega_max * self._omega_max)):
             self._omega_max = math.nextafter(self._omega_max, 0.0)

@@ -76,6 +76,8 @@ class StudyDesign:
                 raise ValueError(f"{self.design.value} requires total sample size n >= 1")
         if self.design in VECTOR_DESIGNS and (self.k is None or self.k < 1):
             raise ValueError(f"{self.design.value} requires effect dimension k >= 1")
+        if not math.isfinite(tau2_scale(self)):  # a nan size, or a float n1 n2 that overflows
+            raise ValueError(f"{self.design.value} sizes give a tau2 scale that is not finite")
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import math
 import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -162,6 +163,69 @@ class TestClosedForms:
         assert math.isfinite(log_bf_t(stat, df1, tau2))
         assert math.isfinite(log_bf_t(-stat, df1, tau2))
         assert math.isfinite(log_bf_f(stat, df1, df2, tau2))
+
+
+class TestOverflowEdge:
+    """t/F points where e^(lp - x) in g = tau2 / (1 + e^(lp - x)) overflows: x = ln r is near
+    -690 and lp = ln(1 + tau2) past 19, so g is e^(x - ln(1 + 1/tau2)), about 1e-300, and the
+    half_df ln(1 + g) term, 0.5e300 * 1e-300, still carries it."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_f_and_t_past_the_exponential_overflow(self):
+        assert math.isclose(log_bf_f(1.0, 1, 1e300, 1e10), -33.345629214600635, rel_tol=1e-12)
+        assert math.isclose(log_bf_t(1e-3, 1e300, 1e12), -41.446530173896704, rel_tol=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_g_survives_where_tau2_times_the_exponential_underflows(self):
+        # x - lp is below -745, so tau2 e^(x - lp) is 0 while g, about r = 1e-308 (4e-308), is
+        # not: half_df g is 0.5 (2) of ln BF10. 1 200-digit decimal values of the same algebra
+        assert math.isclose(log_bf_f(1.0, 1, 1e308, 1e20), -67.88440560926142, rel_tol=1e-14)
+        assert math.isclose(log_bf_t(2.0, 1e308, 1e30), -100.00689127229795, rel_tol=1e-14)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_block_recomputes_only_its_overflowed_entries(self):
+        tau2 = np.array([1e10, 1.0, 1e12, 1e-3])
+        got = log_bf_f(1.0, 1, 1e300, tau2)
+        assert got.tolist() == [log_bf_f(1.0, 1, 1e300, t) for t in tau2.tolist()]
+        assert math.isclose(got[0], -33.345629214600635, rel_tol=1e-12)
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+@st.composite
+def kernel_points(draw):
+    """A t or F point for the t/F kernel: its form, the form's arguments, and the Decimal
+    constants of ln BF10 = a lp + half_df ln(1 + g) + ln(1 + c g) with r = k f/m (t^2/nu)."""
+    tau2 = draw(log_uniform(1e-8, 1e6))
+    if draw(st.booleans()):
+        f, k, m = draw(log_uniform(1e-3, 1e3)), draw(st.integers(1, 100)), draw(
+            log_uniform(1.0, 1e4).map(round)
+        )
+        dk, dm = Decimal(k), Decimal(m)
+        constants = (dk * Decimal(f) / dm, -(dk / 2 + 1), (dk + dm) / 2, (dk + dm) / dk)
+        return log_bf_f, (f, k, m), tau2, constants
+    t, nu = draw(st.floats(-10.0, 10.0)), draw(log_uniform(1.0, 1e5).map(round))
+    dnu = Decimal(nu)
+    constants = (Decimal(t) ** 2 / dnu, Decimal(-1.5), (dnu + 1) / 2, dnu + 1)
+    return log_bf_t, (t, nu), tau2, constants
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(kernel_points())
+def test_t_and_f_kernel_agrees_with_50_digits(point):
+    # the same algebra at 50 digits from the double inputs, exact as Decimals: the kernel's
+    # error stays within 1e-14 of the sum of its terms' magnitudes, on a scalar and in a block
+    form, args, tau2, (r, a, half_df, c) = point
+    with localcontext() as ctx:
+        ctx.prec = 50
+        dtau2 = Decimal(tau2)
+        g = dtau2 * r / (1 + dtau2 + r)
+        terms = (a * (1 + dtau2).ln(), half_df * (1 + g).ln(), (1 + c * g).ln())
+        want, scale = float(sum(terms)), float(sum(abs(term) for term in terms))
+    for got in (form(*args, tau2), *form(*args, np.full(17, tau2)).tolist()):
+        assert abs(got - want) <= 1e-14 * scale
 
 
 class TestIntegerArguments:

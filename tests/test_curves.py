@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from bff import curves
 from bff.bayes_factors import SPLIT_KERNELS, Family, TestStatistic, form_args, log_bf
@@ -24,7 +24,15 @@ from bff.curves import (
     refine_max,
     sweep,
 )
-from bff.effect_sizes import Design, EffectSize, StudyDesign, tau2_for, tau2_scale
+from bff.effect_sizes import (
+    VECTOR_DESIGNS,
+    Design,
+    EffectSize,
+    StudyDesign,
+    statistic_family_for,
+    tau2_for,
+    tau2_scale,
+)
 from bff.exports import build_export, render
 
 Z_STUDY = Study(
@@ -518,3 +526,60 @@ class TestBatchIndependence:
         # 1 - 20 (w - 0.3217)^2 = 0 at w = 0.3217 -+ sqrt(0.05)
         want = [0.3217 - math.sqrt(0.05), 0.3217 + math.sqrt(0.05)]
         assert find_crossings(curve, 0.0) == pytest.approx(want, abs=1e-6)
+
+
+LARGEST = int(sys.float_info.max)
+SIZES = st.integers(1, 1000) | st.integers(1, LARGEST) | st.floats(1.0, sys.float_info.max)
+
+
+@st.composite
+def accepted_studies(draw):
+    """A Study of any StudyDesign the constructor accepts, with any statistic it accepts."""
+    design = draw(st.sampled_from(Design))
+    if design in (Design.TWO_SAMPLE_Z, Design.TWO_SAMPLE_T):
+        sizes = {"n1": draw(SIZES), "n2": draw(SIZES)}
+    else:
+        sizes = {"n": draw(SIZES)}
+    if design in VECTOR_DESIGNS:
+        sizes["k"] = draw(SIZES)
+    try:
+        study_design = StudyDesign(design, **sizes)
+    except ValueError as e:  # float group sizes whose tau2 scale overflows
+        assert "not finite" in str(e)
+        reject()
+    family = statistic_family_for(study_design)
+    lo = 0 if family in (Family.CHISQ, Family.F) else -LARGEST
+    value = draw(st.floats(lo, LARGEST) | st.integers(lo, LARGEST) | st.just(-0.0))
+    dfs = {}
+    if family is not Family.Z:
+        dfs["df1"] = sizes["k"] if design in VECTOR_DESIGNS else draw(SIZES)
+    if family is Family.F:
+        dfs["df2"] = draw(SIZES)
+    return Study(TestStatistic(family, value, **dfs), study_design)
+
+
+# a grid a CLI user may pass: up to 1e12 wide, starting at 0 or past it
+GRIDS = st.builds(
+    lambda lo, width, steps: EffectGrid(lo, lo + width, steps),
+    st.just(0.0) | st.floats(0.0, 10.0),
+    st.floats(1e-6, 1e12),
+    st.integers(2, 60),
+)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(accepted_studies(), GRIDS)
+def test_every_accepted_design_gives_a_curve_or_a_named_error(study, grid):
+    # the library's side of the CLI's contract: a curve whose fields are finite, ln BF10
+    # not finite named as such, or a ValueError naming the argument at fault
+    try:
+        curve = evaluate_bff(study, grid)
+    except FloatingPointError as e:
+        assert "not finite" in str(e)
+        return
+    except ValueError as e:
+        assert "omega" in str(e)
+        return
+    assert math.isfinite(curve.max_log_bf) and 0.0 <= curve.argmax_omega <= grid.max
+    assert all(grid.min <= w <= grid.max for w in curve.crossings)

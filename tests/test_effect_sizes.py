@@ -100,6 +100,20 @@ class TestStudyDesignValidation:
         with pytest.raises(ValueError, match="n2 is larger"):
             StudyDesign(Design.TWO_SAMPLE_T, n1=3, n2=10**400)
 
+    @pytest.mark.parametrize(
+        "design, sizes",
+        [
+            (Design.ONE_SAMPLE_Z, {"n": math.nan}),
+            (Design.TWO_SAMPLE_T, {"n1": 3, "n2": math.nan}),
+            (Design.TWO_SAMPLE_Z, {"n1": 1e200, "n2": 1e200}),
+        ],
+        ids=["nan n", "nan n2", "float product overflows"],
+    )
+    def test_sizes_whose_scale_is_not_finite(self, design, sizes):
+        # a nan or infinite tau2 scale left the curve's largest-omega search looping forever
+        with pytest.raises(ValueError, match=f"{design.value} sizes give a tau2 scale that is not"):
+            StudyDesign(design, **sizes)
+
 
 class TestTau2For:
     def test_one_sample_z(self):

@@ -61,8 +61,8 @@ GOLDEN_SHA256 = {
     ("chisq", "csv"): "a983ce38d725761498dac125b027d8bb4405cc5064b768e6f50fd16608ecc0cf",
     ("chisq", "json"): "c1c0e8395cc09bc0b49ef1973e0413fc670a9e17fa8565072963522bb1f05cc9",
     ("chisq", "svg"): "75382e95a9f8a376f6da8cb0d87c22a46ced86edf033880b8e2b6b931fa67165",
-    ("f", "csv"): "288afe7dca2ba160f1fb66a414490bb8cc23aac32b3ff39de40795231b07234c",
-    ("f", "json"): "7340559282dd15ef488d41652eccf70bfbe444090ba24a57642ea912c97e9145",
+    ("f", "csv"): "b7620670e0dc0fc5ba76aa15424b2bd73b95e8563c27eabb2e30f7e2c65ea3e1",
+    ("f", "json"): "9efc408e86c54c060618dd84c4e361ebfdeed842815d52cd3067dd5d3b9c98cd",
     ("f", "svg"): "0afe8f114d09e6320b8e230b1f273eafcdf9bcad83d2ee7c009411ac8901f476",
 }
 
@@ -382,8 +382,8 @@ SHAPE_SHA256 = {
     ("boundary_max", "csv"): "06c4f8483780fe79910205bd72992b13b38c66512136e4fb0288042d38ea4783",
     ("boundary_max", "json"): "e429ac88a951af4ffee14d4fa47bf5ba9d85e4a32d48ed4600f520d6d19ce2ba",
     ("boundary_max", "svg"): "f474f09994eb583c88d91925f8120f7e3336be3b96121b52105b108c81992ab2",
-    ("four_families", "csv"): "53a330b29c76490b90ee078e6ab2958cb2f1db836546683ef5b1e456ac23ff70",
-    ("four_families", "json"): "10afd1c24f207fd3f31591d956be784ddec39eb4102c791aa1c7a4bb2f937b1d",
+    ("four_families", "csv"): "23e9ae5df4001d47a5d6e78365c3b1af4533c0bed777db2568083f6a4622ce71",
+    ("four_families", "json"): "7277d28f310633f83b029c269b26a30197bcd3c8789ac3a609c0235f8daab952",
     ("four_families", "svg"): "fffb4b9b86a3e25330ac4661c6b727fb118cd6cb7475f173dfaf67965968936d",
     ("no_crossing", "csv"): "784f8914db6497f4355169b5ff09fa76759f8e4e217a5c137145e2ae0ae65bbd",
     ("no_crossing", "json"): "a2f1a00555ac335d91ae7720dee83af6414aa8ef5b9b78b35bc87f591f483ef8",
@@ -391,8 +391,8 @@ SHAPE_SHA256 = {
     ("three_thresholds", "csv"): "310a2e7ec90e91d8ddf26d0c2fd2ad5dc686dda74fec54ef7eb3ccdd5f7a2e0e",
     ("three_thresholds", "json"): "93ac49aa869f421157d980cf31763c7205e5e45fa7de5ff6ab2fb5d4628eb69f",
     ("three_thresholds", "svg"): "b8de2a0adbd062f18177d22febe926acba6d36dad44bef1030af451e02c2f702",
-    ("two_crossings", "csv"): "5222daf8d36a0a693e84570be6f9948a5fff0adadc6a82103f62a6146cef477f",
-    ("two_crossings", "json"): "900fd70468da74610087247c4df9b43f9bd9283e2f9c593b52d09dbb06cfa4fa",
+    ("two_crossings", "csv"): "7d6857e32ed322d3cb26aea52c47c13ce85b984abd0773357fa7befde949e9a4",
+    ("two_crossings", "json"): "0165540e21911c4e3fa14eabe954b32bc30dccf33cb505169d04632c27c7cb62",
     ("two_crossings", "svg"): "7814dda3e77282142dea25f66b2aca35697bb90931099053f63258f69bab08c5",
 }
 
@@ -406,7 +406,7 @@ def test_golden_bytes_of_refinement_shapes(name, fmt):
 # every 10th case of the recorded batch pool through combine + build_export, its
 # csv, json and svg renders hashed in one SHA-256, in case order
 BATCH = Path(__file__).resolve().parents[1] / "bench" / "refs" / "batch.json"
-BATCH_EVERY_10TH_SHA256 = "9ea677e182ff0b9a7dbcca48a35449a8d540bdfaccde863200cc0c967b58d973"
+BATCH_EVERY_10TH_SHA256 = "4066aef8207217e1bd537b9253fe4dd9dc8cd1b108103eb516c609a75af67d4b"
 
 
 def batch_study(spec):
