@@ -99,9 +99,13 @@ def _result(value):
     return value if np.ndim(value) else float(value)
 
 
-def _check_tau2(tau2) -> None:
+def _checked_tau2(tau2):
+    tau2 = _double(tau2, "tau2")  # as the forms take every argument
     if not np.all(tau2 > 0):
         raise ValueError(f"tau2 must be > 0, got {np.min(tau2)}")
+    if not np.all(np.isfinite(tau2)):  # tau2 = inf gives nan and a warning, or -inf
+        raise ValueError(f"tau2 must be finite, got {np.max(tau2)}")
+    return tau2
 
 
 def _finite_or(w, fallback, *args, test=None):
@@ -192,7 +196,7 @@ def _double(x, name):
 
 def log_bf_z(z, tau2):
     """ln BF10 for a z statistic under a J(0, tau2) prior on the mean shift."""
-    _check_tau2(tau2)
+    tau2 = _checked_tau2(tau2)
     return _result(_z(_double(z, "z"), tau2))
 
 
@@ -201,7 +205,7 @@ def log_bf_t(t, nu, tau2):
     t, nu = _double(t, "t"), _double(nu, "nu")
     if np.any(nu < 1):
         raise ValueError(f"nu must be >= 1, got {np.min(nu)}")
-    _check_tau2(tau2)
+    tau2 = _checked_tau2(tau2)
     return _result(_f(*_t_constants(t, nu), tau2))
 
 
@@ -212,7 +216,7 @@ def log_bf_chisq(h, k, tau2):
         raise ValueError(f"h must be >= 0, got {np.min(h)}")
     if np.any(k < 1):
         raise ValueError(f"k must be >= 1, got {np.min(k)}")
-    _check_tau2(tau2)
+    tau2 = _checked_tau2(tau2)
     return _result(_chisq(*_chisq_constants(h, k), tau2))
 
 
@@ -223,7 +227,7 @@ def log_bf_f(f, k, m, tau2):
         raise ValueError(f"f must be >= 0, got {np.min(f)}")
     if np.any(k < 1) or np.any(m < 1):
         raise ValueError(f"degrees of freedom must be >= 1, got ({np.min(k)}, {np.min(m)})")
-    _check_tau2(tau2)
+    tau2 = _checked_tau2(tau2)
     return _result(_f(*_f_constants(f, k, m), tau2))
 
 

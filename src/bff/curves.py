@@ -5,11 +5,12 @@ scale tau2 = c * omega^2 through the study design. This module evaluates
 single-study curves and combines independent studies by summing log Bayes
 factors at a shared omega. Every evaluation is array expressions over
 studies x omegas: each family's studies are stacked into columns, and one
-closed-form call per family covers each block of at most 2^15 values. One
-k-section loop on the exact function refines the grid argmax and locates the
-crossings of every threshold: each round evaluates the points of all open
-brackets in one call. A curve sweeps its grid when built and refines its
-maximum and BF = 1 crossings on first read, or in its first export's rounds.
+closed-form call per family covers each block of at most 2^15 values, summed
+over studies row by row at any width. One k-section loop on the exact function
+refines the grid argmax and locates the crossings of every threshold: each
+round evaluates the points of all open brackets, kept as Python floats, in one
+call. A curve sweeps its grid when built and refines its maximum and BF = 1
+crossings on first read, or in its first export's rounds.
 """
 
 from __future__ import annotations
@@ -88,17 +89,22 @@ class _StudySum:
     def __call__(self, omegas: np.ndarray) -> np.ndarray:
         if not np.all(omegas >= 0):
             raise ValueError("effect sizes omega must be >= 0")
-        if omegas.size and omegas.max() > self._omega_max:
+        self.check_max(omegas.max(initial=0.0))
+        return self.unchecked(omegas)
+
+    def check_max(self, omega: float) -> None:
+        if omega > self._omega_max:
             raise ValueError(
                 f"tau2 = c * omega^2 overflows; the largest usable omega is {self._omega_max!r}"
             )
-        return self.unchecked(omegas)
 
     def unchecked(self, omegas: np.ndarray) -> np.ndarray:
         """The same sum without the grid checks, for omegas inside a checked grid."""
         columns = self._columns(omegas)
+        if len(columns) == 1:
+            return columns[0]
         with np.errstate(invalid="ignore", over="ignore"):
-            return columns[0] if len(columns) == 1 else sum(columns)
+            return sum(columns)
 
     def _columns(self, omegas: np.ndarray) -> list[np.ndarray]:
         # every kernel is exactly 0 at tau2 = 0, so omega = 0 (and any omega whose
@@ -109,8 +115,10 @@ class _StudySum:
             for j in range(0, max(w2.size, 1), step):
                 block = kernel(*terms, scale * w2[j : j + step])  # outside the errstate: nan warns
                 if len(scale) > 1:  # a lone study's row is its own sum: no kernel returns -0.0
+                    # in row order, whatever the width: numpy sums a lone column pairwise
                     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf and big sums
-                        block = block.sum(axis=0, keepdims=True)
+                        block = (np.cumsum(block, axis=0)[-1:] if block.shape[1] == 1
+                                 else block.sum(axis=0, keepdims=True))
                 parts.append(block[0])
             sums.append(parts[0] if len(parts) == 1 else np.concatenate(parts))
         return sums
@@ -185,67 +193,74 @@ def _refine(
     round does not narrow it; each round evaluates every open one in one call
     to fn, and no bracket sees another's points. The maximum's bracket spans the
     neighbours of the best grid point; each round samples its ends and _K
-    points between them and keeps the neighbours of the best one. The result
-    is never below the best grid value, so a monotone curve keeps its boundary
-    argmax. Crossings are bracketed by adjacent grid points where
-    fn - threshold changes sign strictly, so a grid point on the threshold
-    (notably omega = 0, where every curve starts at ln BF = 0) is not one. Each round samples _K interior
-    points and keeps the first sub-interval whose sign changes; a sample
-    exactly on the threshold closes its bracket there.
+    points between them and keeps the neighbours of the best one, and the round
+    that can keep only brackets within 1e-6 samples their midpoints too, the
+    last of which is the result. That is never below the best grid value, so a
+    monotone curve keeps its boundary argmax. Crossings are bracketed by
+    adjacent grid points where fn - threshold changes sign strictly, so a grid
+    point on the threshold (notably omega = 0, where every curve starts at
+    ln BF = 0) is not one. Each round samples _K interior points and keeps the
+    first sub-interval whose sign changes; a sample exactly on the threshold
+    closes its bracket there.
     """
-    which, start, side = [np.empty(0, int)], [np.empty(0, int)], [np.empty(0)]
+    levels = [float(t) for t in thresholds]
+    # a crossing's bracket: [threshold index, lo, hi, whether fn is above it at lo, last width]
+    brackets = []
     # one grid-sized scan per level: a levels x grid scan raises the peak memory of a large grid
-    for i, level in enumerate(thresholds):
-        sign = np.sign(log_bfs - level)
-        at = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-        which.append(np.full(at.size, i))
-        start.append(at)
-        side.append(sign[at])
-    which, start, side = np.concatenate(which), np.concatenate(start), np.concatenate(side)
-    lo, hi = omegas[start], omegas[start + 1]
-    # side: the sign at lo, kept throughout
-    level, side = np.asarray(thresholds, dtype=float)[which, None], side[:, None]
+    for i, level in enumerate(levels):
+        above = log_bfs > level
+        for k in np.flatnonzero(above[:-1] != above[1:]).tolist():
+            y0, y1 = log_bfs.item(k), log_bfs.item(k + 1)
+            if (y1 if y0 > level else y0) < level:  # a strict sign change: neither end on it
+                brackets.append([i, omegas.item(k), omegas.item(k + 1), y0 > level, math.inf])
+    open_, refining, last_mid = brackets, maximum, None
     if maximum:
         best = int(np.argmax(log_bfs))
-        a = omegas[max(best - 1, 0)]
-        b = omegas[min(best + 1, len(omegas) - 1)]
-    # far from 0, adjacent doubles can lie more than 1e-6 apart
-    last, refining = np.full(len(start), np.inf), maximum
+        a, b = omegas.item(max(best - 1, 0)), omegas.item(min(best + 1, len(omegas) - 1))
     while True:
-        width = hi - lo
-        open_, last = (width > _REFINE_TOL) & (width < last), width
+        # far from 0, adjacent doubles can lie more than 1e-6 apart
         refining = refining and b - a > _REFINE_TOL
-        rows = open_.nonzero()[0]
-        if not (refining or rows.size):
+        open_ = [br for br in open_ if _REFINE_TOL < br[2] - br[1] < br[4]]
+        if not (refining or open_):
             break
-        xs = a + (b - a) * _SPREAD if refining else _SPREAD[:0]
-        n_max = xs.size
-        if rows.size:  # each open crossing bracket's ends and _K points between
-            ends = lo[rows, None] + width[rows, None] * _SPREAD
-            ends[:, -1] = hi[rows]
-            xs = np.concatenate([xs, ends[:, 1:-1].ravel()])
-        values = fn(xs)
+        parts = [a + (b - a) * _SPREAD] if refining else []
+        # 17 of the brackets a round can keep tile (a, b), so none is within 1e-6 until here
+        if refining and b - a <= 18 * _REFINE_TOL:
+            xs = parts[0]  # the bracket each sample keeps: its neighbours, or itself at an end
+            lows, highs = np.append(xs[:1], xs[:-1]), np.append(xs[1:], xs[-1:])
+            if (highs - lows).max() <= _REFINE_TOL:
+                parts.append(0.5 * (lows + highs))
+        n_max = sum(p.size for p in parts)
+        if open_:  # each open crossing bracket's _K points between its ends
+            ends = np.array([(br[1], br[2] - br[1]) for br in open_])
+            inner = ends[:, :1] + ends[:, 1:] * _SPREAD[1:-1]
+            parts.append(inner.ravel())
+        values = fn(np.concatenate(parts))
         if refining:
-            j = int(values[:n_max].argmax())
-            a, b, span = xs[max(j - 1, 0)], xs[min(j + 1, _K + 1)], b - a
+            xs, span, j = parts[0], b - a, int(values[: _K + 2].argmax())
+            a, b = xs.item(max(j - 1, 0)), xs.item(min(j + 1, _K + 1))
             refining = b - a < span
-        if rows.size:
-            # (fn - threshold) * side at each bracket's samples, positive at lo, then -1 for hi
-            h = np.full((rows.size, _K + 1), -1.0)
-            np.multiply(values[n_max:].reshape(-1, _K) - level[rows], side[rows], out=h[:, :-1])
-            j = (h <= 0).argmax(axis=1)  # the first sample on the threshold or across it, else hi
-            at = np.arange(rows.size)
-            hi[rows] = new_hi = ends[at, j + 1]
-            lo[rows] = np.where(h[at, j] == 0, new_hi, ends[at, j])
-    mids = (0.5 * (lo + hi)).tolist()
-    crossings = [tuple(m for m, w in zip(mids, which) if w == i) for i in range(len(thresholds))]
+            last_mid = (0.5 * (a + b), values.item(_K + 2 + j)) if n_max > _K + 2 else None
+        if open_:
+            for br, xs, ys in zip(open_, inner.tolist(), values[n_max:].reshape(-1, _K).tolist()):
+                level, lo, up, br[4] = levels[br[0]], br[1], br[3], br[2] - br[1]
+                for x, y in zip(xs, ys):
+                    h = y - level if up else level - y  # positive at lo
+                    if h <= 0:  # the first sample on the threshold or across it
+                        br[1], br[2] = (x if h == 0 else lo), x
+                        break
+                    lo = x
+                else:
+                    br[1] = lo
+    crossings = [tuple(0.5 * (lo + hi) for j, lo, hi, *_ in brackets if j == i)
+                 for i in range(len(levels))]
     if not maximum:
         return None, crossings
-    omega = 0.5 * (a + b)
-    value = float(fn(np.array([omega]))[0])
-    if value >= log_bfs[best]:
-        return (float(omega), value), crossings
-    return (float(omegas[best]), float(log_bfs[best])), crossings
+    if last_mid is None:  # no round took it: the bracket stopped narrowing or began within 1e-6
+        last_mid = 0.5 * (a + b), float(fn(np.array([0.5 * (a + b)]))[0])
+    if last_mid[1] >= log_bfs.item(best):
+        return last_mid, crossings
+    return (omegas.item(best), log_bfs.item(best)), crossings
 
 
 def refine_max(
@@ -271,8 +286,9 @@ def threshold_crossings(curve: BFFCurve, log_thresholds: Sequence[float]) -> lis
 
 
 def _build_curve(fn: _StudySum, grid: EffectGrid, label: str) -> BFFCurve:
+    fn.check_max(grid.max)  # the grid's largest omega; its min is >= 0
     omegas = grid.omegas()
-    log_bfs = fn(omegas)
+    log_bfs = fn.unchecked(omegas)
     if not np.all(np.isfinite(log_bfs)):
         raise FloatingPointError("ln BF10 is not finite at some grid point")
     omegas.flags.writeable = False

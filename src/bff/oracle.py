@@ -328,8 +328,8 @@ def log_bf_quadrature(
     lam in closed form, and t is its k = 1 case, F = t^2. Each route hands its window to
     `_log_bf_window`.
     """
-    if tau2 <= 0:
-        raise ValueError(f"tau2 must be > 0, got {tau2}")
+    if not 0.0 < tau2 < math.inf:  # nan and inf reached the routes as unnamed window errors
+        raise ValueError(f"tau2 must be finite and > 0, got {tau2}")
     family, x, df1, df2 = stat.family, stat.value, stat.df1, stat.df2
     try:
         log_null = log_density_null(family, x, df1, df2)

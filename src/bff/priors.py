@@ -46,7 +46,7 @@ class GammaNCPPrior:
 
     @property
     def rate(self) -> float:
-        return 1.0 / (2.0 * self.tau2)
+        return 0.5 / self.tau2  # 1/(2 tau2) bit for bit, without 2 tau2, which overflows
 
 
 def nm_log_density(p: NormalMomentPrior, x: float) -> float:

@@ -120,6 +120,17 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             fn(1.0, -1.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "form, args",
+        [(log_bf_z, (2.0,)), (log_bf_t, (2.0, 10)), (log_bf_chisq, (2.0, 3)), (log_bf_f, (2.0, 3, 10))],
+    )
+    def test_tau2_must_be_finite(self, form, args):
+        # tau2 = inf gave z and chi-squared nan with a numpy warning, and t and F -inf
+        for tau2 in (math.inf, np.array([1.0, math.inf]), 10**400):
+            with pytest.raises(ValueError, match="tau2"):
+                form(*args, tau2)
+
     def test_arrays_broadcast_and_scalars_stay_floats(self):
         tau2 = np.array([0.1, 1.0, 10.0])
         cases = [

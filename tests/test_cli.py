@@ -523,11 +523,11 @@ class TestStudyFiles:
         doc = json.loads(out_path.read_text(encoding="utf-8"))
         assert [s["label"] for s in doc["per_study"]] == ["original", "replication"]
 
-    @pytest.mark.parametrize("flags, evaluations", [((), 5), (("--per-study",), 7)])
+    @pytest.mark.parametrize("flags, evaluations", [((), 4), (("--per-study",), 6)])
     def test_per_study_series_cost_one_evaluation_each(
         self, capsys, tmp_path, monkeypatch, flags, evaluations
     ):
-        # the combined curve makes 5 evaluations; each per-study series adds its grid alone
+        # the combined curve makes 4 evaluations; each per-study series adds its grid alone
         calls = [0]
         original = _StudySum._columns
 

@@ -309,9 +309,10 @@ class TestEvaluationCount:
             curve = evaluate_bff(Z_STUDY)
             assert calls[0] == 1
             # three k-section rounds shared by the maximum, the BF = 1 crossing and every
-            # threshold, then the maximum's midpoint, however many thresholds there are
+            # threshold, the last also sampling the maximum's midpoints, however many
+            # thresholds there are
             export = build_export(curve, thresholds)
-            assert calls[0] <= 5
+            assert calls[0] <= 4
             assert [len(b.crossings) for b in export.summary.thresholds] == counts
             # a refined curve refines its thresholds alone, in three rounds
             calls[0] = 0
@@ -329,9 +330,9 @@ class TestEvaluationCount:
         monkeypatch.setattr(_StudySum, "_columns", recorded)
         evaluate_bff(Z_STUDY, EffectGrid(steps=1000)).max_log_bf  # the first read refines
         # the grid sweep; rounds of the maximum's 35 points and the BF = 1 bracket's
-        # 33, which closes after round 2, so round 3 samples the maximum alone; then
-        # the maximum's midpoint
-        assert sizes == [1000, 68, 68, 35, 1]
+        # 33, which closes after round 2, so round 3 samples the maximum alone, with the
+        # midpoint of each of the 35 brackets it can keep, all within 1e-6
+        assert sizes == [1000, 68, 68, 70]
 
 
 class TestSweep:
@@ -415,6 +416,19 @@ class TestBlockedSweep:
         monkeypatch.setattr(curves, "_BLOCK", block)
         assert _StudySum(members)(omegas).tobytes() == whole.tobytes()
         assert _StudySum(members)(omegas[:0]).shape == (0,)
+
+    def test_a_point_is_the_same_alone_or_in_a_block(self):
+        # numpy sums a lone column pairwise and wider blocks row by row: past 8 studies the
+        # two orders differ, so a point's value would depend on what shares its call
+        members = [Study(TestStatistic(Family.Z, 0.37 * i - 3.1), StudyDesign(
+            Design.ONE_SAMPLE_Z, n=10 + 13 * i)) for i in range(20)]
+        fn = _StudySum(members)
+        omegas = np.linspace(0.0, 2.0, 101)
+        whole = fn(omegas).tolist()
+        assert [fn(omegas[i : i + 1])[0] for i in range(101)] == whole
+        # the last point alone in the last block, and the same point in a pair
+        omegas = np.linspace(0.0, 2.0, curves._BLOCK // len(members) + 1)
+        assert fn(omegas)[-1] == fn(omegas[-2:])[-1]
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mmap threshold")
     def test_block_temporaries_reuse_the_heap(self):

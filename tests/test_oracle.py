@@ -33,6 +33,7 @@ from bff.oracle import (
     log_marginal_mixture_f,
 )
 from bff.priors import GammaNCPPrior, NormalMomentPrior, gamma_log_density, nm_log_density
+from test_bayes_factors import accepted_statistics
 
 NORM_QUAD = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-8, max_subdivisions=2000)
 ORACLE_POOL = Path(__file__).resolve().parent.parent / "bench" / "refs" / "oracle.json"
@@ -207,9 +208,10 @@ class TestQuadratureBayesFactors:
             quad = log_bf_quadrature(stat, tau2)
             assert math.isclose(closed, quad, rel_tol=1e-8, abs_tol=1e-10)
 
-    def test_rejects_nonpositive_tau2(self):
-        with pytest.raises(ValueError):
-            log_bf_quadrature(TestStatistic(Family.Z, 2.0), 0.0)
+    def test_rejects_a_tau2_not_finite_and_positive(self):
+        for tau2 in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tau2"):
+                log_bf_quadrature(TestStatistic(Family.CHISQ, 2.0, df1=3), tau2)
 
     @pytest.mark.parametrize("omega", [0.914, 0.962])
     def test_readme_chisq_example_at_large_tau2(self, omega):
@@ -267,6 +269,12 @@ class TestQuadratureBayesFactors:
         with pytest.raises(IntegrationError, match="rate"):
             log_bf_quadrature(TestStatistic(Family.CHISQ, 5.0, df1=3), 1e-322)
 
+    @pytest.mark.parametrize("tau2", [8.99e307, sys.float_info.max])
+    def test_gamma_prior_rate_past_half_the_largest_double(self, tau2):
+        # 1/(2 tau2) once formed 2 tau2 = inf, so the rate was 0 and its log a math domain error
+        stat = TestStatistic(Family.CHISQ, 1.0, df1=1)
+        assert math.isclose(log_bf_quadrature(stat, tau2), log_bf(stat, tau2), rel_tol=1e-12)
+
     @pytest.mark.parametrize(
         "stat",
         [
@@ -299,6 +307,22 @@ class TestQuadratureBayesFactors:
         assert math.isclose(
             log_bf_quadrature(stat, 2.0), log_bf(stat, 2.0), rel_tol=1e-6, abs_tol=1e-9
         )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(accepted_statistics(), st.floats(0.0, exclude_min=True, allow_infinity=False))
+def test_every_accepted_statistic_gives_a_float_or_a_named_error(stat, tau2):
+    # the oracle's side of the library's contract: a float, a quadrature or series that
+    # cannot finish named as such, or a ValueError naming the argument at fault
+    try:
+        got = log_bf_quadrature(stat, tau2)
+    except (IntegrationError, SeriesError):
+        return
+    except ValueError as e:
+        assert any(name in str(e) for name in ("tau2", "df", "statistic")), e
+        return
+    assert type(got) is float
 
 
 def log_uniform(lo: float, hi: float):
